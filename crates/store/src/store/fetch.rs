@@ -87,6 +87,7 @@ impl AttentionStore {
         let seq = self.next_seq;
         self.next_seq += 1;
         let checksum = self.stamp_checksum(sid, total_bytes, total_tokens);
+        self.entry_bytes += total_bytes;
         self.entries.insert(
             sid,
             Entry {

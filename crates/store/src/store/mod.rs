@@ -256,6 +256,9 @@ pub struct AttentionStore {
     /// One block pool per configured tier, fastest first.
     pools: Vec<BlockPool>,
     entries: BTreeMap<SessionId, Entry>,
+    /// Σ `bytes` over `entries`, kept current by every insert, resize and
+    /// removal so `avg_session_bytes` need not re-sum the map.
+    entry_bytes: u64,
     /// The content-addressed block ledger (empty and inert under
     /// per-session keying).
     shared: shared::BlockLedger,
@@ -288,6 +291,7 @@ impl AttentionStore {
             policy,
             pools,
             entries: BTreeMap::new(),
+            entry_bytes: 0,
             shared: shared::BlockLedger::default(),
             next_seq: 0,
             stats: StoreStats::default(),
@@ -458,8 +462,7 @@ impl AttentionStore {
         if self.entries.is_empty() {
             return self.cfg.default_session_bytes.max(1);
         }
-        let total: u64 = self.entries.values().map(|e| e.bytes).sum();
-        (total / self.entries.len() as u64).max(1)
+        (self.entry_bytes / self.entries.len() as u64).max(1)
     }
 
     /// Look-ahead prefetch window length, `L_pw = C_mem / S_kv` (§3.3.1).

@@ -23,6 +23,7 @@ impl AttentionStore {
     /// Drops `sid` entirely, freeing its blocks.
     pub(super) fn drop_entry(&mut self, sid: SessionId) {
         if let Some(e) = self.entries.remove(&sid) {
+            self.entry_bytes -= e.bytes;
             self.pools[e.placement.0]
                 .free(&e.blocks)
                 .expect("entry blocks are valid");
@@ -228,6 +229,7 @@ impl AttentionStore {
             .alloc(new_bytes)
             .expect("shrinking realloc always fits");
         let e = self.entries.get_mut(&sid).expect("checked above");
+        self.entry_bytes -= e.bytes - new_bytes;
         e.blocks = blocks;
         e.bytes = new_bytes;
         e.tokens = new_tokens;

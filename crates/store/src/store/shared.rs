@@ -24,16 +24,25 @@
 //!   the least-recently-used unpinned session's whole chain (the moral
 //!   equivalent of per-session eviction, reported with the same
 //!   `evicted` event).
+//!
+//! Victims come from the ledger's per-tier LRU index ([`ledger`]), walked
+//! in order; the `naive_*` scans kept under `#[cfg(test)]` are the
+//! reference the index is checked against.
 
-use std::collections::{BTreeMap, HashMap};
+mod ledger;
+
+use std::collections::{HashMap, HashSet};
 
 use sim::Time;
 
 use crate::chain::{ContentKey, DedupStats};
 use crate::events::{FetchKind, StoreEvent};
-use crate::{BlockId, QueueView, SessionId, TierId};
+use crate::{QueueView, SessionId, TierId};
 
 use super::{AttentionStore, Lookup, Transfer};
+
+pub(super) use ledger::BlockLedger;
+use ledger::{ChunkNode, SessionRef};
 
 /// Result of a content-addressed prefix consult.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,93 +69,13 @@ impl PrefixMatch {
     }
 }
 
-/// One stored chunk of KV, shared by every chain that references it.
-pub(super) struct ChunkNode {
-    chain_hash: u64,
-    tokens: u64,
-    bytes: u64,
-    placement: TierId,
-    blocks: Vec<BlockId>,
-    /// Saved chains referencing this node.
-    refs: u64,
-    /// In-flight consults holding this node (exempt from movement).
-    pins: u64,
-    last_access: Time,
-    insert_seq: u64,
-    /// Last session to save or match this node; used to attribute tier
-    /// transfers when the node itself moves.
-    owner_hint: SessionId,
-}
-
-/// One session's view of the ledger: an ordered chain of node slots.
-pub(super) struct SessionRef {
-    chain: Vec<usize>,
-    tokens: u64,
-    bytes: u64,
-    key: ContentKey,
-    last_access: Time,
-    insert_seq: u64,
-}
-
-/// The shared-block side of the store (empty and inert in per-session
-/// mode).
-#[derive(Default)]
-pub(super) struct BlockLedger {
-    /// Slab of nodes; `None` slots are free for reuse.
-    nodes: Vec<Option<ChunkNode>>,
-    free_slots: Vec<usize>,
-    /// chain hash → slot: the prefix trie.
-    by_hash: HashMap<u64, usize>,
-    sessions: BTreeMap<SessionId, SessionRef>,
-    /// Content keys registered before a session's first save.
-    keys: BTreeMap<SessionId, ContentKey>,
-    /// Chains pinned by in-flight consults.
-    pinned: BTreeMap<SessionId, Vec<usize>>,
-    next_seq: u64,
-    pub(super) dedup: DedupStats,
-}
-
-impl BlockLedger {
-    fn node(&self, slot: usize) -> &ChunkNode {
-        self.nodes[slot].as_ref().expect("slot is live")
-    }
-
-    fn node_mut(&mut self, slot: usize) -> &mut ChunkNode {
-        self.nodes[slot].as_mut().expect("slot is live")
-    }
-
-    fn insert_node(&mut self, node: ChunkNode) -> usize {
-        let hash = node.chain_hash;
-        let slot = match self.free_slots.pop() {
-            Some(s) => {
-                self.nodes[s] = Some(node);
-                s
-            }
-            None => {
-                self.nodes.push(Some(node));
-                self.nodes.len() - 1
-            }
-        };
-        self.by_hash.insert(hash, slot);
-        slot
-    }
-
-    /// Live slots, ascending (deterministic iteration order).
-    fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| n.as_ref().map(|_| i))
-    }
-}
-
 impl AttentionStore {
     /// Registers `sid`'s content key (from the workload's declared shared
     /// prefix) so its chunks hash into the shared namespace. Must happen
     /// before the session's first save; later calls are ignored once a
     /// chain exists (the key travels with the chain from then on).
     pub fn register_content(&mut self, sid: SessionId, key: ContentKey) {
-        if !self.shared.sessions.contains_key(&sid) {
+        if self.shared.session(sid).is_none() {
             self.shared.keys.insert(sid, key);
         }
     }
@@ -157,7 +86,7 @@ impl AttentionStore {
     }
 
     fn ca_key(&self, sid: SessionId) -> ContentKey {
-        if let Some(r) = self.shared.sessions.get(&sid) {
+        if let Some(r) = self.shared.session(sid) {
             return r.key;
         }
         self.shared
@@ -179,7 +108,7 @@ impl AttentionStore {
     // ---- lookup / accessors -------------------------------------------
 
     pub(super) fn ca_lookup(&self, sid: SessionId) -> Lookup {
-        match self.shared.sessions.get(&sid) {
+        match self.shared.session(sid) {
             Some(r) if !r.chain.is_empty() => {
                 let deepest = r
                     .chain
@@ -194,11 +123,11 @@ impl AttentionStore {
     }
 
     pub(super) fn ca_tokens(&self, sid: SessionId) -> Option<u64> {
-        self.shared.sessions.get(&sid).map(|r| r.tokens)
+        self.shared.session(sid).map(|r| r.tokens)
     }
 
     pub(super) fn ca_len(&self) -> usize {
-        self.shared.sessions.len()
+        self.shared.sessions().len()
     }
 
     /// `S_kv` under block keying: block size × observed chain length,
@@ -207,12 +136,67 @@ impl AttentionStore {
     /// (the ledger never populates `entries`), collapsing `L_pw`/`L_ev`
     /// to fixed constants.
     pub(super) fn ca_avg_session_bytes(&self) -> u64 {
-        let n = self.shared.sessions.len() as u64;
-        if n == 0 {
-            return self.cfg.default_session_bytes.max(1);
+        self.shared
+            .avg_session_bytes()
+            .unwrap_or(self.cfg.default_session_bytes)
+            .max(1)
+    }
+
+    // ---- victim choice ------------------------------------------------
+
+    /// The demotion victim of `tier`: the least-recently-used unpinned
+    /// node no session inside the look-ahead eviction window will read
+    /// — via its stored chain (owner_hint in-window) or its registered
+    /// key resolving here on a first turn (`needed`) — or, when every
+    /// unpinned node is imminent, the least-recently-used of those.
+    pub(super) fn ca_demote_victim(
+        &self,
+        tier: TierId,
+        queue: &QueueView,
+        window: usize,
+        needed: &HashSet<usize>,
+    ) -> Option<usize> {
+        let mut coldest = None;
+        for s in self.shared.unpinned(tier) {
+            if !self.ca_imminent(s, queue, window, needed) {
+                return Some(s);
+            }
+            coldest.get_or_insert(s);
         }
-        let total: u64 = self.shared.sessions.values().map(|r| r.bytes).sum();
-        (total / n).max(1)
+        coldest
+    }
+
+    /// The prefetch victim of `tier` when staging `sid` (queued at `pos`):
+    /// the least-recently-used unpinned node outside `protected` (the
+    /// prefetch window's working set) whose last accessor is not `sid`
+    /// and is queued, if at all, strictly after `pos`.
+    pub(super) fn ca_prefetch_victim(
+        &self,
+        tier: TierId,
+        sid: SessionId,
+        pos: usize,
+        protected: &HashSet<usize>,
+        queue: &QueueView,
+    ) -> Option<usize> {
+        self.shared.unpinned(tier).find(|&s| {
+            let n = self.shared.node(s);
+            n.owner_hint != sid
+                && !protected.contains(&s)
+                && queue.position(n.owner_hint).is_none_or(|p| p > pos)
+        })
+    }
+
+    /// Whether a session inside the look-ahead eviction window will read
+    /// `slot` soon.
+    fn ca_imminent(
+        &self,
+        slot: usize,
+        queue: &QueueView,
+        window: usize,
+        needed: &HashSet<usize>,
+    ) -> bool {
+        let n = self.shared.node(slot);
+        queue.position(n.owner_hint).is_some_and(|p| p < window) || needed.contains(&slot)
     }
 
     // ---- room making / refcounted eviction ----------------------------
@@ -221,35 +205,27 @@ impl AttentionStore {
     /// `tier` out of the system — the refcounted eviction path. Returns
     /// `false` when the tier has no dead node.
     pub(super) fn ca_free_dead_in(&mut self, now: Time, tier: TierId) -> bool {
-        let victim = self
-            .shared
-            .live_slots()
-            .filter(|&s| {
-                let n = self.shared.node(s);
-                n.placement == tier && n.refs == 0 && n.pins == 0
-            })
-            .min_by_key(|&s| {
-                let n = self.shared.node(s);
-                (n.last_access, n.insert_seq)
-            });
-        let Some(slot) = victim else {
+        let Some(slot) = self.shared.dead(tier).next() else {
             return false;
         };
-        let node = self.shared.nodes[slot].take().expect("victim is live");
-        self.shared.by_hash.remove(&node.chain_hash);
-        self.shared.free_slots.push(slot);
-        self.pools[tier.0]
+        self.ca_reclaim(now, slot);
+        true
+    }
+
+    /// Frees the dead node in `slot` out of the system.
+    fn ca_reclaim(&mut self, now: Time, slot: usize) {
+        let node = self.shared.take_node(slot);
+        self.pools[node.placement.0]
             .free(&node.blocks)
             .expect("node blocks are valid");
         self.shared.dedup.refcounted_evictions += 1;
         self.emit(StoreEvent::BlockEvicted {
             blocks: node.blocks.len() as u64,
             bytes: node.bytes,
-            tier,
+            tier: node.placement,
             refs: 0,
             at: now,
         });
-        true
     }
 
     /// Demotes the least-recently-used unpinned node of `tier` one hop
@@ -271,25 +247,7 @@ impl AttentionStore {
         );
         let window = self.eviction_window();
         let needed = self.ca_queued_slots(queue, window);
-        let victim = self
-            .shared
-            .live_slots()
-            .filter(|&s| {
-                let n = self.shared.node(s);
-                n.placement == tier && n.pins == 0
-            })
-            .min_by_key(|&s| {
-                let n = self.shared.node(s);
-                // `false < true`: blocks an imminent session will read —
-                // via its stored chain (owner_hint in-window) or its
-                // registered key resolving here on a first turn — sort
-                // last, demoted only when nothing colder remains; among
-                // the rest, plain LRU.
-                let soon =
-                    queue.position(n.owner_hint).is_some_and(|p| p < window) || needed.contains(&s);
-                (soon, n.last_access, n.insert_seq)
-            });
-        let Some(slot) = victim else {
+        let Some(slot) = self.ca_demote_victim(tier, queue, window, &needed) else {
             return false;
         };
         self.ca_demote_slot(now, slot, acting, queue, out)
@@ -314,10 +272,14 @@ impl AttentionStore {
             return false;
         }
         let new_blocks = self.pools[to.0].alloc(bytes).expect("room made above");
-        let node = self.shared.node_mut(slot);
-        let old_blocks = std::mem::replace(&mut node.blocks, new_blocks);
-        node.placement = to;
-        let mover = node.owner_hint;
+        let (old_blocks, mover) = {
+            let mut node = self.shared.node_mut(slot);
+            node.placement = to;
+            (
+                std::mem::replace(&mut node.blocks, new_blocks),
+                node.owner_hint,
+            )
+        };
         self.pools[from.0]
             .free(&old_blocks)
             .expect("blocks were in the source tier");
@@ -342,17 +304,23 @@ impl AttentionStore {
     /// Releases the least-recently-used unpinned session's whole chain —
     /// the fallback when the bottom tier holds only referenced blocks.
     /// Sessions outside the look-ahead eviction window are preferred.
-    fn ca_release_lru_session(&mut self, now: Time, queue: &QueueView) -> bool {
+    ///
+    /// `acting` — the session whose save, consult or prefetch needs the
+    /// room — is never released: mid-save its stored chain still names
+    /// the common prefix the new chain keeps without a reference of its
+    /// own, so releasing it would leave those nodes looking dead and
+    /// reclaimable while the new chain points at them.
+    fn ca_release_lru_session(&mut self, now: Time, acting: SessionId, queue: &QueueView) -> bool {
         let window = self.eviction_window();
         let cands: Vec<SessionId> = self
             .shared
-            .sessions
+            .sessions()
             .keys()
-            .filter(|sid| !self.shared.pinned.contains_key(sid))
+            .filter(|&&sid| sid != acting && !self.shared.pinned.contains_key(&sid))
             .copied()
             .collect();
         let order = |sid: &SessionId| {
-            let r = &self.shared.sessions[sid];
+            let r = &self.shared.sessions()[sid];
             (r.last_access, r.insert_seq)
         };
         let victim = cands
@@ -364,11 +332,8 @@ impl AttentionStore {
         let Some(sid) = victim else {
             return false;
         };
-        let r = self.shared.sessions.remove(&sid).expect("victim exists");
-        for &slot in &r.chain {
-            let n = self.shared.node_mut(slot);
-            n.refs = n.refs.saturating_sub(1);
-        }
+        let r = self.shared.remove_session(sid).expect("victim exists");
+        self.ca_release_chain(&r.chain);
         self.stats.drops_capacity += 1;
         self.shared.dedup.session_releases += 1;
         self.emit(StoreEvent::Evicted {
@@ -405,7 +370,7 @@ impl AttentionStore {
                 continue;
             }
             let progressed = if tier == self.bottom_tier() {
-                self.ca_release_lru_session(now, queue)
+                self.ca_release_lru_session(now, acting, queue)
             } else {
                 self.ca_demote_one(now, tier, acting, queue, out)
             };
@@ -441,8 +406,7 @@ impl AttentionStore {
         // more is copy-on-divergence.
         let old: Vec<usize> = self
             .shared
-            .sessions
-            .get(&sid)
+            .session(sid)
             .map(|r| r.chain.clone())
             .unwrap_or_default();
         let common = old
@@ -454,10 +418,7 @@ impl AttentionStore {
         if released > 0 {
             let old_tail_partial =
                 self.shared.node(old[old.len() - 1]).tokens < self.cfg.block_tokens;
-            for &slot in &old[common..] {
-                let n = self.shared.node_mut(slot);
-                n.refs = n.refs.saturating_sub(1);
-            }
+            self.ca_release_chain(&old[common..]);
             let grew = released == 1 && common == old.len() - 1 && old_tail_partial;
             if !grew {
                 self.shared.dedup.divergences += 1;
@@ -487,7 +448,7 @@ impl AttentionStore {
             let bytes = Self::chunk_bytes(total_bytes, total_tokens, covered_tokens, ck.tokens);
             if let Some(&slot) = self.shared.by_hash.get(&ck.chain_hash) {
                 // Cross-session (or re-grown) dedup hit: share the node.
-                let n = self.shared.node_mut(slot);
+                let mut n = self.shared.node_mut(slot);
                 n.refs += 1;
                 n.last_access = now;
                 n.owner_hint = sid;
@@ -558,7 +519,7 @@ impl AttentionStore {
         }
         if chain.is_empty() {
             // Nothing fit at all: no chain survives.
-            self.shared.sessions.remove(&sid);
+            self.shared.remove_session(sid);
             self.emit_occupancy(mark, now);
             return (transfers, false);
         }
@@ -569,7 +530,7 @@ impl AttentionStore {
             .expect("chain non-empty");
         let seq = self.shared.next_seq;
         self.shared.next_seq += 1;
-        self.shared.sessions.insert(
+        self.shared.insert_session(
             sid,
             SessionRef {
                 chain,
@@ -634,13 +595,10 @@ impl AttentionStore {
         // Own-chain fallback: a session resuming its own history can
         // always reuse its stored prefix, even where its partial tail
         // chunk does not align with the context's chunk grid.
-        let own_tokens = self
-            .shared
-            .sessions
-            .get(&sid)
-            .map_or(0, |r| r.tokens.min(ctx_tokens));
+        let own = self.shared.session(sid);
+        let own_tokens = own.map_or(0, |r| r.tokens.min(ctx_tokens));
         let (matched_tokens, matched) = if own_tokens > cross_tokens {
-            let r = &self.shared.sessions[&sid];
+            let r = own.expect("own tokens came from a stored chain");
             (own_tokens, r.chain.clone())
         } else {
             (cross_tokens, cross)
@@ -678,15 +636,13 @@ impl AttentionStore {
 
         // Pin first so room-making below cannot evict what we matched.
         for &slot in &matched {
-            let n = self.shared.node_mut(slot);
+            let mut n = self.shared.node_mut(slot);
             n.pins += 1;
             n.last_access = now;
             n.owner_hint = sid;
         }
         self.shared.pinned.insert(sid, matched.clone());
-        if let Some(r) = self.shared.sessions.get_mut(&sid) {
-            r.last_access = now;
-        }
+        self.shared.touch_session(sid, now);
 
         // Stage matched blocks up to tier 0 (serve-in-place when tier 0
         // genuinely cannot hold them).
@@ -705,9 +661,11 @@ impl AttentionStore {
                 continue;
             }
             let new_blocks = self.pools[0].alloc(bytes).expect("room made above");
-            let node = self.shared.node_mut(slot);
-            let old_blocks = std::mem::replace(&mut node.blocks, new_blocks);
-            node.placement = TierId(0);
+            let old_blocks = {
+                let mut node = self.shared.node_mut(slot);
+                node.placement = TierId(0);
+                std::mem::replace(&mut node.blocks, new_blocks)
+            };
             self.pools[from.0]
                 .free(&old_blocks)
                 .expect("blocks were in the source tier");
@@ -762,9 +720,17 @@ impl AttentionStore {
     pub(super) fn ca_unpin(&mut self, sid: SessionId) {
         if let Some(slots) = self.shared.pinned.remove(&sid) {
             for slot in slots {
-                let n = self.shared.node_mut(slot);
+                let mut n = self.shared.node_mut(slot);
                 n.pins = n.pins.saturating_sub(1);
             }
+        }
+    }
+
+    /// Drops one chain reference from each node of `chain`.
+    fn ca_release_chain(&mut self, chain: &[usize]) {
+        for &slot in chain {
+            let mut n = self.shared.node_mut(slot);
+            n.refs = n.refs.saturating_sub(1);
         }
     }
 
@@ -778,7 +744,7 @@ impl AttentionStore {
     /// free space (never by evicting others — truncation is a
     /// bookkeeping shrink, not a capacity event).
     pub(super) fn ca_truncate(&mut self, sid: SessionId, new_bytes: u64, new_tokens: u64) {
-        let Some(r) = self.shared.sessions.get(&sid) else {
+        let Some(r) = self.shared.session(sid) else {
             return;
         };
         if new_bytes >= r.bytes {
@@ -790,14 +756,10 @@ impl AttentionStore {
         self.shared.keys.insert(sid, key);
         let old = self
             .shared
-            .sessions
-            .remove(&sid)
+            .remove_session(sid)
             .expect("checked above")
             .chain;
-        for &slot in &old {
-            let n = self.shared.node_mut(slot);
-            n.refs = n.refs.saturating_sub(1);
-        }
+        self.ca_release_chain(&old);
         self.shared.dedup.divergences += 1;
         self.emit(StoreEvent::BlockDiverged {
             session: sid.0,
@@ -818,11 +780,13 @@ impl AttentionStore {
             // stored node rather than inserting a duplicate, which
             // would orphan the incumbent's trie entry.
             if let Some(&hit) = self.shared.by_hash.get(&ck.chain_hash) {
-                let n = self.shared.node_mut(hit);
-                n.refs += 1;
-                n.last_access = now;
-                n.owner_hint = sid;
-                let bytes = n.bytes;
+                let bytes = {
+                    let mut n = self.shared.node_mut(hit);
+                    n.refs += 1;
+                    n.last_access = now;
+                    n.owner_hint = sid;
+                    n.bytes
+                };
                 self.shared.dedup.dedup_blocks += 1;
                 self.shared.dedup.bytes_saved += bytes;
                 chain.push(hit);
@@ -840,7 +804,7 @@ impl AttentionStore {
                 // Convert in place: shrink-realloc within the node's tier.
                 let slot = old_slot.expect("checked above");
                 let (tier, old_hash, old_blocks) = {
-                    let n = self.shared.node_mut(slot);
+                    let mut n = self.shared.node_mut(slot);
                     (n.placement, n.chain_hash, std::mem::take(&mut n.blocks))
                 };
                 self.shared.by_hash.remove(&old_hash);
@@ -850,12 +814,14 @@ impl AttentionStore {
                 let blocks = self.pools[tier.0]
                     .alloc(bytes)
                     .expect("shrinking realloc always fits");
-                let n = self.shared.node_mut(slot);
-                n.chain_hash = ck.chain_hash;
-                n.tokens = ck.tokens;
-                n.bytes = bytes;
-                n.blocks = blocks;
-                n.refs = 1;
+                {
+                    let mut n = self.shared.node_mut(slot);
+                    n.chain_hash = ck.chain_hash;
+                    n.tokens = ck.tokens;
+                    n.bytes = bytes;
+                    n.blocks = blocks;
+                    n.refs = 1;
+                }
                 self.shared.by_hash.insert(ck.chain_hash, slot);
                 Some(slot)
             } else {
@@ -897,26 +863,13 @@ impl AttentionStore {
             }
             let n = self.shared.node(slot);
             if n.refs == 0 && n.pins == 0 {
-                let node = self.shared.nodes[slot].take().expect("slot live");
-                self.shared.by_hash.remove(&node.chain_hash);
-                self.shared.free_slots.push(slot);
-                self.pools[node.placement.0]
-                    .free(&node.blocks)
-                    .expect("node blocks valid");
-                self.shared.dedup.refcounted_evictions += 1;
-                self.emit(StoreEvent::BlockEvicted {
-                    blocks: node.blocks.len() as u64,
-                    bytes: node.bytes,
-                    tier: node.placement,
-                    refs: 0,
-                    at: now,
-                });
+                self.ca_reclaim(now, slot);
             }
         }
         if !chain.is_empty() {
             let seq = self.shared.next_seq;
             self.shared.next_seq += 1;
-            self.shared.sessions.insert(
+            self.shared.insert_session(
                 sid,
                 SessionRef {
                     chain,
@@ -932,11 +885,8 @@ impl AttentionStore {
 
     pub(super) fn ca_invalidate(&mut self, sid: SessionId) {
         self.ca_unpin(sid);
-        if let Some(r) = self.shared.sessions.remove(&sid) {
-            for &slot in &r.chain {
-                let n = self.shared.node_mut(slot);
-                n.refs = n.refs.saturating_sub(1);
-            }
+        if let Some(r) = self.shared.remove_session(sid) {
+            self.ca_release_chain(&r.chain);
             self.stats.drops_invalidated += 1;
         }
     }
@@ -948,7 +898,7 @@ impl AttentionStore {
         let mark = self.trace_mark();
         let dead: Vec<SessionId> = self
             .shared
-            .sessions
+            .sessions()
             .iter()
             .filter(|(sid, r)| {
                 !self.shared.pinned.contains_key(sid) && now.saturating_since(r.last_access) > ttl
@@ -957,11 +907,8 @@ impl AttentionStore {
             .collect();
         let n = dead.len() as u64;
         for sid in dead {
-            let r = self.shared.sessions.remove(&sid).expect("listed above");
-            for &slot in &r.chain {
-                let node = self.shared.node_mut(slot);
-                node.refs = node.refs.saturating_sub(1);
-            }
+            let r = self.shared.remove_session(sid).expect("listed above");
+            self.ca_release_chain(&r.chain);
             self.emit(StoreEvent::Expired {
                 session: sid.0,
                 at: now,
@@ -978,20 +925,7 @@ impl AttentionStore {
             })
             .collect();
         for slot in stale {
-            let node = self.shared.nodes[slot].take().expect("slot live");
-            self.shared.by_hash.remove(&node.chain_hash);
-            self.shared.free_slots.push(slot);
-            self.pools[node.placement.0]
-                .free(&node.blocks)
-                .expect("node blocks valid");
-            self.shared.dedup.refcounted_evictions += 1;
-            self.emit(StoreEvent::BlockEvicted {
-                blocks: node.blocks.len() as u64,
-                bytes: node.bytes,
-                tier: node.placement,
-                refs: 0,
-                at: now,
-            });
+            self.ca_reclaim(now, slot);
         }
         self.emit_occupancy(mark, now);
         n
@@ -1003,10 +937,10 @@ impl AttentionStore {
     /// block's `owner_hint` names only its *last* accessor, so "is an
     /// imminent session about to read this?" must consult every imminent
     /// session's mapping, not the hint.
-    fn ca_queued_slots(&self, queue: &QueueView, upto: usize) -> std::collections::HashSet<usize> {
-        let mut slots = std::collections::HashSet::new();
+    pub(super) fn ca_queued_slots(&self, queue: &QueueView, upto: usize) -> HashSet<usize> {
+        let mut slots = HashSet::new();
         for sid in queue.head(upto) {
-            if let Some(r) = self.shared.sessions.get(&sid) {
+            if let Some(r) = self.shared.session(sid) {
                 slots.extend(r.chain.iter().copied());
             } else if let Some(key) = self.shared.keys.get(&sid) {
                 if key.shared_tokens > 0 {
@@ -1042,7 +976,7 @@ impl AttentionStore {
             .enumerate()
             .filter(|&(_, sid)| {
                 !self.shared.pinned.contains_key(&sid)
-                    && match self.shared.sessions.get(&sid) {
+                    && match self.shared.session(sid) {
                         Some(r) => r
                             .chain
                             .iter()
@@ -1063,8 +997,8 @@ impl AttentionStore {
             // space only: their matched blocks are shared with other
             // sessions, so forcing demotions on their behalf ping-pongs
             // the very chains those sessions are about to resume.
-            let own_chain = self.shared.sessions.contains_key(&sid);
-            let chain: Vec<usize> = match self.shared.sessions.get(&sid) {
+            let own_chain = self.shared.session(sid).is_some();
+            let chain: Vec<usize> = match self.shared.session(sid) {
                 Some(r) => r.chain.clone(),
                 None => {
                     // Turn-0 look-ahead: walk the trie over the queued
@@ -1121,21 +1055,7 @@ impl AttentionStore {
                     break;
                 }
                 while !self.pools[0].fits(bytes) {
-                    let victim = self
-                        .shared
-                        .live_slots()
-                        .filter(|&s| {
-                            let n = self.shared.node(s);
-                            n.placement.is_fast()
-                                && n.pins == 0
-                                && n.owner_hint != sid
-                                && !protected.contains(&s)
-                                && queue.position(n.owner_hint).is_none_or(|p| p > pos)
-                        })
-                        .min_by_key(|&s| {
-                            let n = self.shared.node(s);
-                            (n.last_access, n.insert_seq)
-                        });
+                    let victim = self.ca_prefetch_victim(TierId(0), sid, pos, &protected, queue);
                     match victim {
                         Some(v) if self.ca_demote_slot(now, v, sid, queue, &mut transfers) => {}
                         _ => {
@@ -1147,11 +1067,17 @@ impl AttentionStore {
                 if stalled {
                     break;
                 }
+                // On a stack deeper than two tiers, making room can
+                // cascade a demotion onto this very node: stage it from
+                // where it is now.
+                let from = self.shared.node(slot).placement;
                 let new_blocks = self.pools[0].alloc(bytes).expect("fits checked");
-                let node = self.shared.node_mut(slot);
-                let old_blocks = std::mem::replace(&mut node.blocks, new_blocks);
-                node.placement = TierId(0);
-                node.last_access = now;
+                let old_blocks = {
+                    let mut node = self.shared.node_mut(slot);
+                    node.placement = TierId(0);
+                    node.last_access = now;
+                    std::mem::replace(&mut node.blocks, new_blocks)
+                };
                 self.pools[from.0]
                     .free(&old_blocks)
                     .expect("blocks were in the source tier");
@@ -1177,7 +1103,7 @@ impl AttentionStore {
                 break 'targets;
             }
         }
-        transfers.extend(self.ca_maintain_reserve(now, queue));
+        transfers.extend(self.maintain_reserve(now, queue));
         self.emit_occupancy(mark, now);
         transfers
     }
@@ -1197,24 +1123,10 @@ impl AttentionStore {
             if self.ca_free_dead_in(now, TierId(0)) {
                 continue;
             }
-            let victim = self
-                .shared
-                .live_slots()
-                .filter(|&s| {
-                    let n = self.shared.node(s);
-                    n.placement == TierId(0) && n.pins == 0
-                })
-                .min_by_key(|&s| {
-                    let n = self.shared.node(s);
-                    (n.last_access, n.insert_seq)
-                });
-            let Some(slot) = victim else {
+            let Some(slot) = self.shared.unpinned(TierId(0)).next() else {
                 break;
             };
-            let n = self.shared.node(slot);
-            let soon =
-                needed.contains(&slot) || queue.position(n.owner_hint).is_some_and(|p| p < window);
-            if soon {
+            if self.ca_imminent(slot, queue, window, &needed) {
                 break;
             }
             let acting = SessionId(u64::MAX);
@@ -1234,7 +1146,7 @@ impl AttentionStore {
         let l = &self.shared;
         // by_hash maps exactly the live nodes.
         for (&hash, &slot) in &l.by_hash {
-            let Some(node) = l.nodes.get(slot).and_then(|n| n.as_ref()) else {
+            let Some(node) = l.get(slot) else {
                 return Err(format!("by_hash {hash:#x} points at dead slot {slot}"));
             };
             if node.chain_hash != hash {
@@ -1254,7 +1166,7 @@ impl AttentionStore {
         }
         // Refcount conservation: refs == chains referencing the slot.
         let mut want_refs: HashMap<usize, u64> = HashMap::new();
-        for r in l.sessions.values() {
+        for r in l.sessions().values() {
             for &slot in &r.chain {
                 *want_refs.entry(slot).or_insert(0) += 1;
             }
@@ -1286,11 +1198,11 @@ impl AttentionStore {
             tier_blocks[node.placement.0] += node.blocks.len();
         }
         // Every chain references live nodes only, with consistent sums.
-        for (sid, r) in &l.sessions {
+        for (sid, r) in l.sessions() {
             let mut tokens = 0;
             let mut bytes = 0;
             for &slot in &r.chain {
-                let Some(node) = l.nodes.get(slot).and_then(|n| n.as_ref()) else {
+                let Some(node) = l.get(slot) else {
                     return Err(format!("{sid}: chain references dead slot {slot}"));
                 };
                 tokens += node.tokens;
@@ -1317,6 +1229,69 @@ impl AttentionStore {
                 }
             }
         }
-        Ok(())
+        // The victim index and the running chain-byte total agree with a
+        // fresh rebuild.
+        l.check_derived()
+    }
+}
+
+/// The victim choices as whole-slab scans: the reference the indexed
+/// choices above are checked against.
+#[cfg(test)]
+impl AttentionStore {
+    fn naive_lru(&self, eligible: impl Fn(usize, &ChunkNode) -> bool) -> Option<usize> {
+        self.shared
+            .live_slots()
+            .filter(|&s| eligible(s, self.shared.node(s)))
+            .min_by_key(|&s| {
+                let n = self.shared.node(s);
+                (n.last_access, n.insert_seq)
+            })
+    }
+
+    pub(super) fn naive_dead_victim(&self, tier: TierId) -> Option<usize> {
+        self.naive_lru(|_, n| n.placement == tier && n.refs == 0 && n.pins == 0)
+    }
+
+    pub(super) fn naive_reserve_victim(&self, tier: TierId) -> Option<usize> {
+        self.naive_lru(|_, n| n.placement == tier && n.pins == 0)
+    }
+
+    pub(super) fn naive_demote_victim(
+        &self,
+        tier: TierId,
+        queue: &QueueView,
+        window: usize,
+        needed: &HashSet<usize>,
+    ) -> Option<usize> {
+        self.shared
+            .live_slots()
+            .filter(|&s| {
+                let n = self.shared.node(s);
+                n.placement == tier && n.pins == 0
+            })
+            .min_by_key(|&s| {
+                let n = self.shared.node(s);
+                let soon =
+                    queue.position(n.owner_hint).is_some_and(|p| p < window) || needed.contains(&s);
+                (soon, n.last_access, n.insert_seq)
+            })
+    }
+
+    pub(super) fn naive_prefetch_victim(
+        &self,
+        tier: TierId,
+        sid: SessionId,
+        pos: usize,
+        protected: &HashSet<usize>,
+        queue: &QueueView,
+    ) -> Option<usize> {
+        self.naive_lru(|s, n| {
+            n.placement == tier
+                && n.pins == 0
+                && n.owner_hint != sid
+                && !protected.contains(&s)
+                && queue.position(n.owner_hint).is_none_or(|p| p > pos)
+        })
     }
 }

@@ -1,7 +1,8 @@
-use models::TierStack;
+use models::{TierSpec, TierStack};
+use proptest::prelude::*;
 use sim::{Dur, Time};
 
-use crate::{PolicyKind, QueueView, SessionId, TierId};
+use crate::{ContentKey, KeyingMode, PolicyKind, QueueView, SessionId, TierId};
 
 use super::{AttentionStore, Lookup, StoreConfig};
 
@@ -372,5 +373,148 @@ fn owner_attributed_views_tag_store_events() {
             assert_ne!(session, 1);
             assert_eq!(instance, None, "victims were not queued");
         }
+    }
+}
+
+/// A content-addressed store on a tight three-tier stack, so random
+/// operations fill every tier and reach demotion, chain release and
+/// dead-node reclaim on each.
+fn tight_block_store() -> AttentionStore {
+    AttentionStore::new(StoreConfig {
+        tiers: TierStack::new(vec![
+            TierSpec::dram(4 * MB),
+            TierSpec::pooled_memory(4 * MB),
+            TierSpec::ssd(8 * MB),
+        ]),
+        block_bytes: MB,
+        policy: PolicyKind::SchedulerAware,
+        keying: KeyingMode::ContentAddressed,
+        block_tokens: 128,
+        ttl: Some(Dur::from_secs_f64(0.02)),
+        dram_reserve_fraction: 0.25,
+        default_session_bytes: MB,
+    })
+}
+
+/// One random operation on a content-addressed store: sessions in two
+/// pools share a 256-token prefix, at 10 KB of KV per token.
+fn block_op(s: &mut AttentionStore, op: u64, n: u64, tokens: u64, now: Time, q: &QueueView) {
+    const BPT: u64 = 10_000;
+    let key = ContentKey {
+        shared_seed: 1_000 + n % 2,
+        shared_tokens: 256,
+        private_seed: 7_000 + n,
+        generation: 0,
+    };
+    match op {
+        0 | 1 => {
+            s.register_content(sid(n), key);
+            s.save(sid(n), tokens * BPT, tokens, now, q);
+        }
+        2 => {
+            s.register_content(sid(n), key);
+            let _ = s.load_prefix(sid(n), tokens, now, q);
+        }
+        3 => s.unpin(sid(n)),
+        4 => s.invalidate(sid(n)),
+        5 => s.truncate(sid(n), tokens * BPT / 2, tokens / 2),
+        6 => {
+            s.expire(now);
+        }
+        _ => {
+            let _ = s.apply_pressure(now, 0.5, q);
+        }
+    }
+    let _ = s.prefetch(now, q);
+}
+
+/// Every indexed victim choice equals its whole-slab reference scan, on
+/// every tier.
+fn victims_match_the_scans(s: &AttentionStore, q: &QueueView) -> Result<(), String> {
+    let window = s.eviction_window();
+    let needed = s.ca_queued_slots(q, window);
+    let agree = |what: &str, t: TierId, fast: Option<usize>, naive: Option<usize>| {
+        if fast == naive {
+            Ok(())
+        } else {
+            Err(format!(
+                "{what} victim of {t}: index {fast:?}, scan {naive:?}"
+            ))
+        }
+    };
+    for t in (0..s.n_tiers()).map(TierId) {
+        agree("dead", t, s.shared.dead(t).next(), s.naive_dead_victim(t))?;
+        agree(
+            "reserve",
+            t,
+            s.shared.unpinned(t).next(),
+            s.naive_reserve_victim(t),
+        )?;
+        agree(
+            "demote",
+            t,
+            s.ca_demote_victim(t, q, window, &needed),
+            s.naive_demote_victim(t, q, window, &needed),
+        )?;
+        // Every queued target, plus one that is not queued at all, with
+        // the eviction window's working set as the protected set.
+        let targets = q.head(q.len()).enumerate().chain([(q.len(), sid(99))]);
+        for (pos, who) in targets {
+            agree(
+                "prefetch",
+                t,
+                s.ca_prefetch_victim(t, who, pos, &needed, q),
+                s.naive_prefetch_victim(t, who, pos, &needed, q),
+            )?;
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    /// The ledger's victim index picks exactly the node the naive scans
+    /// pick, for all four choices on every tier, after every operation
+    /// of a random sequence (and `validate_blocks` confirms the index
+    /// equals a rebuild from the slab).
+    #[test]
+    fn indexed_victims_match_naive_scans(
+        ops in proptest::collection::vec((0u64..8, 0u64..8, 64u64..512), 1..60),
+        queued in proptest::collection::vec(0u64..8, 0..4),
+    ) {
+        let mut s = tight_block_store();
+        let order: Vec<SessionId> = queued.iter().copied().map(sid).collect();
+        let q = QueueView::new(&order);
+        for (step, &(op, n, tokens)) in ops.iter().enumerate() {
+            let now = Time::from_millis(step as u64);
+            block_op(&mut s, op, n, tokens, now, &q);
+            if let Err(e) = s.validate_blocks().and_then(|()| victims_match_the_scans(&s, &q)) {
+                prop_assert!(false, "after step {step} (op {op}): {e}\nops: {ops:?}");
+            }
+        }
+    }
+}
+
+/// The running byte totals behind `avg_session_bytes` follow saves,
+/// re-saves, truncation and removal under both keyings.
+#[test]
+fn avg_session_bytes_tracks_inserts_resizes_and_removals() {
+    for keying in [KeyingMode::PerSession, KeyingMode::ContentAddressed] {
+        let mut s = AttentionStore::new(StoreConfig {
+            keying,
+            ..small_store(PolicyKind::SchedulerAware).cfg
+        });
+        let q = QueueView::empty();
+        assert_eq!(s.avg_session_bytes(), MB, "{keying:?}: empty falls back");
+        s.save(sid(1), 2 * MB, 200, Time::ZERO, &q);
+        s.save(sid(2), 4 * MB, 400, Time::ZERO, &q);
+        assert_eq!(s.avg_session_bytes(), 3 * MB, "{keying:?}");
+        s.save(sid(1), 6 * MB, 600, Time::from_millis(1), &q);
+        assert_eq!(s.avg_session_bytes(), 5 * MB, "{keying:?}: re-save");
+        s.truncate(sid(2), 2 * MB, 200);
+        assert_eq!(s.avg_session_bytes(), 4 * MB, "{keying:?}: truncate");
+        s.invalidate(sid(1));
+        assert_eq!(s.avg_session_bytes(), 2 * MB, "{keying:?}: invalidate");
+        s.invalidate(sid(2));
+        assert_eq!(s.avg_session_bytes(), MB, "{keying:?}: empty again");
     }
 }

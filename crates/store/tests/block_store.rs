@@ -22,8 +22,12 @@ const MB: u64 = 1_000_000;
 const BPT: u64 = 10_000;
 
 fn block_store(keying: KeyingMode) -> AttentionStore {
+    block_store_on(keying, TierStack::two_tier(20 * MB, 60 * MB))
+}
+
+fn block_store_on(keying: KeyingMode, tiers: TierStack) -> AttentionStore {
     AttentionStore::new(StoreConfig {
-        tiers: TierStack::two_tier(20 * MB, 60 * MB),
+        tiers,
         block_bytes: MB,
         policy: PolicyKind::SchedulerAware,
         keying,
@@ -81,16 +85,24 @@ proptest! {
     /// every node's refcount equals the number of chains referencing
     /// it, every pin is owned by an in-flight consult, the trie maps
     /// exactly the live nodes, and the pools hold exactly the nodes'
-    /// blocks.
+    /// blocks. The roomy stack never fills tier 1; the tight one forces
+    /// chain releases at the bottom tier and dead-node reclaim there,
+    /// including while the releasing session's own save is in flight.
     #[test]
     fn random_op_sequences_keep_ledger_invariants(
         ops in proptest::collection::vec((0u64..6, 0u64..6, 64u64..512), 1..60)
     ) {
-        let mut s = block_store(KeyingMode::ContentAddressed);
-        for (step, &(op, n, tokens)) in ops.iter().enumerate() {
-            apply_op(&mut s, op, n, tokens, step);
-            if let Err(e) = s.validate_blocks() {
-                prop_assert!(false, "after step {step} (op {op}): {e}\nops: {ops:?}");
+        let stacks = [
+            TierStack::two_tier(20 * MB, 60 * MB),
+            TierStack::two_tier(4 * MB, 8 * MB),
+        ];
+        for tiers in stacks {
+            let mut s = block_store_on(KeyingMode::ContentAddressed, tiers);
+            for (step, &(op, n, tokens)) in ops.iter().enumerate() {
+                apply_op(&mut s, op, n, tokens, step);
+                if let Err(e) = s.validate_blocks() {
+                    prop_assert!(false, "after step {step} (op {op}): {e}\nops: {ops:?}");
+                }
             }
         }
     }
