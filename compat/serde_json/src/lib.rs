@@ -17,6 +17,12 @@ pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
     Ok(out)
 }
 
+/// Appends an already-built `value` to `out` as compact JSON, without
+/// the copy [`to_string`] makes of its argument.
+pub fn push_value(out: &mut String, value: &Value) {
+    write_value(out, value, None, 0);
+}
+
 /// Serializes `value` to JSON indented with two spaces.
 pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
     let mut out = String::new();

@@ -74,8 +74,9 @@ fn bench_store(c: &mut Criterion) {
                             &view,
                         );
                         if i % 3 == 0 {
-                            store.load_for_use(
+                            store.load_prefix(
                                 SessionId((i + 32) % 64),
+                                1_100,
                                 Time::from_nanos(i),
                                 &view,
                             );

@@ -39,6 +39,7 @@ use crate::instance::{EngineInstance, InstanceReport};
 use crate::router::{InstanceLoad, RouterKind, RouterPolicy};
 use crate::scheduler;
 use crate::slo::{OverloadLevel, ScaleDecision, SloPolicy, SloState};
+use crate::transfer::FaultedConsult;
 use crate::truncate;
 use crate::{EngineConfig, Medium, Mode, RunReport};
 
@@ -822,48 +823,20 @@ impl<O: EngineObserver> ClusterSim<O> {
             return (0, now, None);
         }
         let view = self.merged_view();
-        let faulted = self.faults.is_some();
         let cfg = &self.cfg;
         let store = self.store.as_mut().expect("checked above");
-        let plan = &mut self.instances[inst as usize].plan;
-        // The fallible consult path is only taken with a fault plan
-        // installed, so fault-free runs stay byte-identical.
-        let (consult, degraded) = if ca {
-            // Block keying matches the whole next context — history plus
-            // the arriving input — against the prefix trie.
-            let ctx = hist + user;
-            if faulted {
-                let f = plan.consult_blocks_faulted(
-                    now,
-                    store.as_mut(),
-                    sid,
-                    ctx,
-                    |tokens| cfg.stored_kv_bytes(tokens),
-                    &view,
-                );
-                (f.consult, f.degraded)
-            } else {
-                let c = plan.consult_blocks(
-                    now,
-                    store.as_mut(),
-                    sid,
-                    ctx,
-                    |tokens| cfg.stored_kv_bytes(tokens),
-                    &view,
-                );
-                (c, None)
-            }
-        } else if faulted {
-            let f = plan.consult_faulted(now, store.as_mut(), sid, hist, &view, |tokens| {
-                cfg.stored_kv_bytes(tokens)
-            });
-            (f.consult, f.degraded)
-        } else {
-            let c = plan.consult(now, store.as_mut(), sid, hist, &view, |tokens| {
-                cfg.stored_kv_bytes(tokens)
-            });
-            (c, None)
-        };
+        // The whole next context — history plus the arriving input — is
+        // matched against the stored prefix.
+        let FaultedConsult {
+            consult, degraded, ..
+        } = self.instances[inst as usize].plan.consult(
+            now,
+            store.as_mut(),
+            sid,
+            hist + user,
+            &view,
+            |tokens| cfg.stored_kv_bytes(tokens),
+        );
         self.scratch_view = view;
         self.pump_store_events(inst);
         if let Some(reason) = degraded {

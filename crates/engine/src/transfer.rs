@@ -54,8 +54,8 @@ pub struct Consult {
     pub tier: Option<TierId>,
 }
 
-/// A [`Consult`] that went through the fallible store path: the same
-/// classification plus what the fault layer did to get there.
+/// A [`Consult`] plus what the store's fault layer did to get there
+/// (no retries and no degradation in fault-free runs).
 #[derive(Debug, Clone, Copy)]
 pub struct FaultedConsult {
     /// The classification and staging outcome (backoff included in
@@ -223,128 +223,36 @@ impl TransferPlan {
         }
     }
 
-    /// Consults the store for a resuming job with `hist` tokens of
-    /// history and classifies the access. `stored_bytes_of` maps cached
-    /// tokens to their on-store byte size (compression included).
+    /// Consults the store for a job whose next context is `ctx_tokens`
+    /// (history plus the arriving input) and classifies the access: the
+    /// longest stored prefix of that context is pinned and staged, and
+    /// only the unmatched tail is prefilled. `stored_bytes_of` maps
+    /// matched tokens to their on-store byte size (compression
+    /// included).
     ///
-    /// The caller guarantees `hist > 0` and a configured store; the
-    /// no-history and no-store classifications live in the orchestrator.
+    /// The consult goes through the store's fallible path, which is the
+    /// infallible one verbatim when no fault plan is installed. Injected
+    /// read retries cost backoff wall time, so the transfers (and the
+    /// job's staging) start after it; an abandoned read degrades the
+    /// access to a miss-classified full re-prefill.
     pub fn consult(
         &mut self,
         now: Time,
         store: &mut dyn StorePlanner,
         sid: SessionId,
-        hist: u64,
-        queue: &QueueView,
-        stored_bytes_of: impl Fn(u64) -> u64,
-    ) -> Consult {
-        let (found, transfers) = store.load_for_use(sid, now, queue);
-        let entry_tokens = store.entry_tokens(sid).unwrap_or(0);
-        let had_promotion = transfers
-            .iter()
-            .any(|t| t.session == sid && t.is_promotion());
-        self.charge(now, &transfers);
-        match found {
-            Lookup::Miss => Consult {
-                reused: 0,
-                staged: now,
-                class: ConsultClass::Miss,
-                tier: None,
-            },
-            Lookup::Hit(tier) if tier.is_fast() => {
-                let staged = self
-                    .fast_ready_at
-                    .get(&sid.0)
-                    .copied()
-                    .unwrap_or(now)
-                    .max(now);
-                Consult {
-                    reused: entry_tokens.min(hist),
-                    staged,
-                    class: ConsultClass::HitFast,
-                    tier: Some(tier),
-                }
-            }
-            Lookup::Hit(tier) => {
-                let staged = if had_promotion {
-                    self.fast_ready_at.get(&sid.0).copied().unwrap_or(now)
-                } else {
-                    // Tier 0 could not stage it: stream straight from the
-                    // slow tier (rare pathological sizing).
-                    let bytes = stored_bytes_of(entry_tokens.min(hist));
-                    self.stream_from(now, tier, bytes)
-                };
-                Consult {
-                    reused: entry_tokens.min(hist),
-                    staged: staged.max(now),
-                    class: ConsultClass::HitSlow,
-                    tier: Some(tier),
-                }
-            }
-        }
-    }
-
-    /// Block-keyed form of [`TransferPlan::consult`]: matches the job's
-    /// *entire* next context (`ctx_tokens = history + new input`) against
-    /// the store's prefix trie, so a session whose first turn shares a
-    /// system prompt with another session reuses those blocks even with
-    /// zero own history. `reused` is the matched prefix length; only the
-    /// unmatched tail is prefilled.
-    pub fn consult_blocks(
-        &mut self,
-        now: Time,
-        store: &mut dyn StorePlanner,
-        sid: SessionId,
         ctx_tokens: u64,
-        stored_bytes_of: impl Fn(u64) -> u64,
         queue: &QueueView,
-    ) -> Consult {
-        let m = store.load_prefix(sid, ctx_tokens, now, queue);
+        stored_bytes_of: impl Fn(u64) -> u64,
+    ) -> FaultedConsult {
+        let outcome = store.try_load_prefix(sid, ctx_tokens, now, queue);
+        let m = &outcome.prefix;
         let had_promotion = m
             .transfers
             .iter()
             .any(|t| t.session == sid && t.is_promotion());
-        self.charge(now, &m.transfers);
-        self.classify_prefix(now, sid, &m, had_promotion, stored_bytes_of)
-    }
-
-    /// Fallible form of [`TransferPlan::consult_blocks`].
-    pub fn consult_blocks_faulted(
-        &mut self,
-        now: Time,
-        store: &mut dyn StorePlanner,
-        sid: SessionId,
-        ctx_tokens: u64,
-        stored_bytes_of: impl Fn(u64) -> u64,
-        queue: &QueueView,
-    ) -> FaultedConsult {
-        let outcome = store.try_load_prefix(sid, ctx_tokens, now, queue);
-        let had_promotion = outcome
-            .prefix
-            .transfers
-            .iter()
-            .any(|t| t.session == sid && t.is_promotion());
         let start = now + outcome.backoff;
-        self.charge(start, &outcome.prefix.transfers);
-        let consult =
-            self.classify_prefix(start, sid, &outcome.prefix, had_promotion, stored_bytes_of);
-        FaultedConsult {
-            consult,
-            retries: outcome.retries,
-            degraded: outcome.degraded,
-        }
-    }
-
-    /// Shared classification tail of the block-keyed consults.
-    fn classify_prefix(
-        &mut self,
-        start: Time,
-        sid: SessionId,
-        m: &store::PrefixMatch,
-        had_promotion: bool,
-        stored_bytes_of: impl Fn(u64) -> u64,
-    ) -> Consult {
-        match m.lookup {
+        self.charge(start, &m.transfers);
+        let consult = match m.lookup {
             Lookup::Miss => Consult {
                 reused: 0,
                 staged: start,
@@ -369,73 +277,13 @@ impl TransferPlan {
                 let staged = if had_promotion {
                     self.fast_ready_at.get(&sid.0).copied().unwrap_or(start)
                 } else {
-                    // Tier 0 could not stage the matched blocks: stream
-                    // them straight from the deepest matched tier.
+                    // Tier 0 could not stage the matched chunks (rare
+                    // pathological sizing): stream them straight from
+                    // the deepest matched tier.
                     self.stream_from(start, tier, stored_bytes_of(m.matched_tokens))
                 };
                 Consult {
                     reused: m.matched_tokens,
-                    staged: staged.max(start),
-                    class: ConsultClass::HitSlow,
-                    tier: Some(tier),
-                }
-            }
-        }
-    }
-
-    /// Fallible form of [`TransferPlan::consult`] for runs with a fault
-    /// plan installed: reads may be retried (their exponential backoff is
-    /// wall time, so it pushes the staging clock) or abandoned entirely,
-    /// degrading the access to a miss-classified full re-prefill.
-    pub fn consult_faulted(
-        &mut self,
-        now: Time,
-        store: &mut dyn StorePlanner,
-        sid: SessionId,
-        hist: u64,
-        queue: &QueueView,
-        stored_bytes_of: impl Fn(u64) -> u64,
-    ) -> FaultedConsult {
-        let outcome = store.try_load_for_use(sid, now, queue);
-        let entry_tokens = store.entry_tokens(sid).unwrap_or(0);
-        let had_promotion = outcome
-            .transfers
-            .iter()
-            .any(|t| t.session == sid && t.is_promotion());
-        // Backoff is wall time spent re-issuing slow-tier reads: the
-        // surviving transfers (and the job's staging) start after it.
-        let start = now + outcome.backoff;
-        self.charge(start, &outcome.transfers);
-        let consult = match outcome.lookup {
-            Lookup::Miss => Consult {
-                reused: 0,
-                staged: start,
-                class: ConsultClass::Miss,
-                tier: None,
-            },
-            Lookup::Hit(tier) if tier.is_fast() => {
-                let staged = self
-                    .fast_ready_at
-                    .get(&sid.0)
-                    .copied()
-                    .unwrap_or(start)
-                    .max(start);
-                Consult {
-                    reused: entry_tokens.min(hist),
-                    staged,
-                    class: ConsultClass::HitFast,
-                    tier: Some(tier),
-                }
-            }
-            Lookup::Hit(tier) => {
-                let staged = if had_promotion {
-                    self.fast_ready_at.get(&sid.0).copied().unwrap_or(start)
-                } else {
-                    let bytes = stored_bytes_of(entry_tokens.min(hist));
-                    self.stream_from(start, tier, bytes)
-                };
-                Consult {
-                    reused: entry_tokens.min(hist),
                     staged: staged.max(start),
                     class: ConsultClass::HitSlow,
                     tier: Some(tier),

@@ -154,15 +154,15 @@ mod tests {
 
         let mut ca = mk();
         apply_store_effect(Mode::CachedAttention, Some(&mut ca), sid, 400_000, 40);
-        assert_eq!(StorePlanner::entry_tokens(&ca, sid), Some(40));
+        assert_eq!(StorePlanner::cached_tokens(&ca, sid), Some(40));
 
         let mut of = mk();
         apply_store_effect(Mode::CoupledOverflow, Some(&mut of), sid, 400_000, 40);
-        assert_eq!(StorePlanner::entry_tokens(&of, sid), None);
+        assert_eq!(StorePlanner::cached_tokens(&of, sid), None);
 
         let mut re = mk();
         apply_store_effect(Mode::Recompute, Some(&mut re), sid, 400_000, 40);
-        let (found, _) = re.load_for_use(sid, Time::ZERO, &view);
-        assert_eq!(found, Lookup::Hit(TierId(0)));
+        let m = re.load_prefix(sid, 100, Time::ZERO, &view);
+        assert_eq!(m.lookup, Lookup::Hit(TierId(0)));
     }
 }

@@ -1,10 +1,10 @@
 //! Content-addressed chunk chains: the keying layer of block-granular
 //! cross-session KV dedup.
 //!
-//! Under [`KeyingMode::ContentAddressed`] the store's unit of storage is
-//! no longer a whole-session entry but a fixed-size *chunk* of
-//! `block_tokens` tokens, addressed by the hash of everything up to and
-//! including it. Two sessions whose token streams share a prefix produce
+//! The store's unit of storage is a *chunk* of KV, addressed by the hash
+//! of everything up to and including it. Under
+//! [`KeyingMode::ContentAddressed`] chunks are `block_tokens` long;
+//! under [`KeyingMode::PerSession`] a session is one chunk. Two sessions whose token streams share a prefix produce
 //! identical chain hashes for the shared chunks and therefore resolve to
 //! the *same* stored nodes — a million users on one system prompt store
 //! its KV once.
@@ -31,11 +31,14 @@
 use serde::{Deserialize, Serialize};
 
 /// How the store keys saved KV.
+///
+/// Both modes store chunk chains in the same ledger; the mode decides
+/// only the chunk size (a whole session, or `block_tokens`) and whether the
+/// `block_*` dedup events are emitted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KeyingMode {
-    /// One session = one private entry, no cross-session sharing — the
-    /// paper's scheme, byte-for-byte identical to the store before block
-    /// keying existed.
+    /// One session = one private chunk, no cross-session sharing — the
+    /// paper's session-granular scheme.
     #[default]
     PerSession,
     /// Fixed-size chunks content-addressed by prefix chain hash, shared
@@ -44,6 +47,16 @@ pub enum KeyingMode {
 }
 
 impl KeyingMode {
+    /// Tokens per chunk: unbounded under per-session keying (a session
+    /// is one chunk, however long), `block_tokens` under
+    /// content-addressed keying.
+    pub(crate) fn chunk_tokens(self, block_tokens: u64) -> u64 {
+        match self {
+            KeyingMode::PerSession => u64::MAX,
+            KeyingMode::ContentAddressed => block_tokens,
+        }
+    }
+
     /// Lowercase label used in configs and tables.
     pub fn label(self) -> &'static str {
         match self {
@@ -104,13 +117,21 @@ impl ContentKey {
     /// or any chunk of a truncated (generation > 0) session, is private.
     pub fn chunk_hash(&self, index: u64, start: u64, n: u64) -> u64 {
         let span = fold(index, n);
-        if self.generation == 0 && start + n <= self.shared_tokens {
+        if self.is_shared(start, n) {
             fold(self.shared_seed, span)
         } else if self.generation == 0 && start < self.shared_tokens {
             fold(fold(self.shared_seed, self.private_seed), span)
         } else {
             fold(fold(self.private_seed, self.generation), span)
         }
+    }
+
+    /// Whether the chunk covering tokens `[start, start + n)` lies wholly
+    /// inside the shared span of an untruncated session, so that every
+    /// session of the pool hashes it alike. Any other chunk is private:
+    /// only this session can produce its hash.
+    pub(crate) fn is_shared(&self, start: u64, n: u64) -> bool {
+        self.generation == 0 && start + n <= self.shared_tokens
     }
 
     /// Extends chain hash `prev` (use [`CHAIN_SEED`] for chunk 0) with
@@ -179,9 +200,8 @@ pub struct DedupStats {
     pub divergences: u64,
     /// Unreferenced nodes reclaimed (the refcounted eviction path).
     pub refcounted_evictions: u64,
-    /// Whole-chain releases forced when the bottom tier held only
-    /// referenced blocks (the fallback that mirrors per-session
-    /// eviction).
+    /// Chains released because a bottom-tier node they reference was
+    /// evicted (or a node that could not demote was dropped).
     pub session_releases: u64,
 }
 
@@ -291,6 +311,17 @@ mod tests {
         d.bytes_written = 100;
         assert!((d.dedup_ratio() - 0.75).abs() < 1e-12);
         assert!((d.effective_capacity_factor() - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn per_session_keying_is_a_one_chunk_chain() {
+        let k = ContentKey::private(3);
+        let chunk = KeyingMode::PerSession.chunk_tokens(128);
+        let chain = k.chain(1_000_000, chunk);
+        assert_eq!(chain.len(), 1);
+        assert_eq!(chain[0].tokens, 1_000_000);
+        assert_eq!(KeyingMode::ContentAddressed.chunk_tokens(128), 128);
+        assert!(k.chain(0, chunk).is_empty());
     }
 
     #[test]

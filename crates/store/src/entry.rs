@@ -1,9 +1,6 @@
-//! Session-granularity cache entries.
+//! Session and tier identifiers.
 
 use serde::{Deserialize, Serialize};
-use sim::Time;
-
-use crate::BlockId;
 
 /// Identifier of a conversation session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -20,8 +17,8 @@ impl std::fmt::Display for SessionId {
 /// staging tier the engine reads KV from (host DRAM in the paper's
 /// stack), higher indices are progressively slower and cheaper.
 ///
-/// This is the one canonical tier vocabulary: entries record where they
-/// live as a `TierId`, trace events carry `TierId`s, and telemetry maps
+/// This is the one canonical tier vocabulary: stored chunks record where
+/// they live as a `TierId`, trace events carry `TierId`s, and telemetry maps
 /// them back to [`TierSpec::name`](models::TierSpec) labels. It replaces
 /// the old `Placement { Dram, Disk }` / `events::Tier { Dram, Disk }`
 /// pair of two-variant enums.
@@ -53,49 +50,6 @@ impl TierId {
 impl std::fmt::Display for TierId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "t{}", self.0)
-    }
-}
-
-/// One session's cached KV: placement, size and access metadata.
-#[derive(Debug, Clone)]
-pub struct Entry {
-    /// KV payload size in bytes (grows each turn, shrinks on truncation).
-    pub bytes: u64,
-    /// Number of cached tokens the bytes correspond to.
-    pub tokens: u64,
-    /// Current tier.
-    pub placement: TierId,
-    /// Blocks backing the entry in its current tier.
-    pub blocks: Vec<BlockId>,
-    /// Last time the entry was saved or loaded (LRU / TTL input).
-    pub last_access: Time,
-    /// Monotonic insertion sequence (FIFO input).
-    pub insert_seq: u64,
-    /// Pinned entries are mid-transfer or in use and exempt from eviction.
-    pub pinned: bool,
-    /// Integrity checksum over the saved KV metadata, written at save
-    /// time and verified on load. A mismatch means the stored KV is
-    /// corrupt and the session must re-prefill.
-    pub checksum: u64,
-}
-
-impl Entry {
-    /// The integrity checksum over an entry's saved KV metadata: a pure
-    /// hash of `(session, bytes, tokens)` (splitmix64 finalizer).
-    pub fn metadata_checksum(session: SessionId, bytes: u64, tokens: u64) -> u64 {
-        let mut x = session
-            .0
-            .wrapping_mul(0x9e3779b97f4a7c15)
-            .wrapping_add(bytes.wrapping_mul(0xbf58476d1ce4e5b9))
-            .wrapping_add(tokens.wrapping_mul(0x94d049bb133111eb));
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-        x ^ (x >> 31)
-    }
-
-    /// Returns `true` when the entry's checksum matches its metadata.
-    pub fn integrity_ok(&self, session: SessionId) -> bool {
-        self.checksum == Entry::metadata_checksum(session, self.bytes, self.tokens)
     }
 }
 

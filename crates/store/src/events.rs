@@ -125,10 +125,11 @@ pub enum StoreEvent {
         /// actual link time).
         at: Time,
     },
-    /// A session's KV was demoted one hop to the adjacent slower tier to
-    /// make room.
+    /// A stored chunk was demoted one hop to the adjacent slower tier to
+    /// make room: a per-session chunk is the session's whole KV; a shared
+    /// chunk is attributed to its last accessor.
     Demoted {
-        /// External session id.
+        /// External session id (the chunk's last accessor).
         session: u64,
         /// Payload size moved.
         bytes: u64,
@@ -314,21 +315,6 @@ pub enum StoreEvent {
         /// Virtual commit time.
         at: Time,
     },
-    /// A block node was demoted one hop to the adjacent slower tier to
-    /// make room. No single session owns a shared node, so the event is
-    /// tier-wide (the paired transfer carries attribution).
-    BlockDemoted {
-        /// Allocation blocks moved.
-        blocks: u64,
-        /// Payload size moved.
-        bytes: u64,
-        /// Tier the node left.
-        from: TierId,
-        /// The adjacent slower tier it landed in (`from + 1`).
-        to: TierId,
-        /// Virtual commit time.
-        at: Time,
-    },
     /// An unreferenced block node was reclaimed out of the system — the
     /// refcounted eviction path. `refs` is always 0: a node still
     /// referenced by any live chain is never evicted, only demoted.
@@ -374,7 +360,6 @@ impl StoreEvent {
             StoreEvent::BlockSaved { .. } => "block_saved",
             StoreEvent::BlockDedupHit { .. } => "block_dedup_hit",
             StoreEvent::BlockDiverged { .. } => "block_diverged",
-            StoreEvent::BlockDemoted { .. } => "block_demoted",
             StoreEvent::BlockEvicted { .. } => "block_evicted",
         }
     }
@@ -399,7 +384,6 @@ impl StoreEvent {
             | StoreEvent::Evicted { .. }
             | StoreEvent::Dropped { .. }
             | StoreEvent::PrefetchCompleted { .. }
-            | StoreEvent::BlockDemoted { .. }
             | StoreEvent::BlockEvicted { .. } => "tiering",
             StoreEvent::TierConfig { .. }
             | StoreEvent::Occupancy { .. }
@@ -438,7 +422,6 @@ impl StoreEvent {
             | StoreEvent::BlockSaved { at, .. }
             | StoreEvent::BlockDedupHit { at, .. }
             | StoreEvent::BlockDiverged { at, .. }
-            | StoreEvent::BlockDemoted { at, .. }
             | StoreEvent::BlockEvicted { at, .. } => at,
         }
     }
@@ -468,7 +451,6 @@ impl StoreEvent {
             StoreEvent::TierConfig { .. }
             | StoreEvent::Occupancy { .. }
             | StoreEvent::BlockConfig { .. }
-            | StoreEvent::BlockDemoted { .. }
             | StoreEvent::BlockEvicted { .. } => None,
         }
     }
@@ -759,20 +741,6 @@ impl Serialize for StoreEvent {
                 ("released_blocks", Value::U64(released_blocks)),
                 ("at", secs(at)),
             ]),
-            StoreEvent::BlockDemoted {
-                blocks,
-                bytes,
-                from,
-                to,
-                at,
-            } => fields(vec![
-                ("kind", kind),
-                ("blocks", Value::U64(blocks)),
-                ("bytes", Value::U64(bytes)),
-                ("from", tier_index(from)),
-                ("to", tier_index(to)),
-                ("at", secs(at)),
-            ]),
             StoreEvent::BlockEvicted {
                 blocks,
                 bytes,
@@ -983,15 +951,15 @@ mod tests {
             at: Time::ZERO,
         };
         assert_eq!(saved.category(), "cache");
-        let dem = StoreEvent::BlockDemoted {
+        let ev = StoreEvent::BlockEvicted {
             blocks: 1,
             bytes: 128,
-            from: TierId(0),
-            to: TierId(1),
+            tier: TierId(1),
+            refs: 0,
             at: Time::ZERO,
         };
-        assert_eq!(dem.category(), "tiering");
-        assert_eq!(dem.session(), None);
+        assert_eq!(ev.category(), "tiering");
+        assert_eq!(ev.session(), None);
     }
 
     #[test]

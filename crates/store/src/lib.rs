@@ -17,14 +17,14 @@
 //!   into tier 0 before its job runs.
 //! - **Scheduler-aware eviction**: a look-ahead eviction window sized by
 //!   the stack's total capacity over `S_kv` (the paper's
-//!   `(C_mem + C_disk) / S_kv`). Entries appearing in the window are
-//!   exempt where possible; when all candidates are in the window, the one
-//!   nearest the tail (furthest future use — Belady with a horizon) goes
-//!   first. Victims demote one hop down; bottom-tier victims leave the
-//!   system.
+//!   `(C_mem + C_disk) / S_kv`). Chunks a session in the window will
+//!   read are exempt where possible; when every candidate has such a
+//!   next use, the one whose next use is furthest away (Belady with a
+//!   horizon) goes first. Victims demote one hop down; bottom-tier
+//!   victims leave the system.
 //!
-//! [`Lru`] and [`Fifo`] baselines (Figure 21) share the same tiers but see
-//! no queue and never prefetch.
+//! LRU and FIFO baselines ([`PolicyKind`], Figure 21) share the same tiers
+//! but see no queue and never prefetch.
 //!
 //! The store is *pure bookkeeping*: methods take the current virtual time
 //! and return adjacent-tier [`Transfer`] hops; the serving engine charges
@@ -41,11 +41,11 @@ mod store;
 
 pub use block::{BlockId, BlockPool};
 pub use chain::{ChunkKey, ContentKey, DedupStats, KeyingMode, CHAIN_SEED};
-pub use entry::{Entry, SessionId, TierId};
+pub use entry::{SessionId, TierId};
 pub use events::{FetchKind, NullStoreObserver, StoreEvent, StoreEventLog, StoreObserver};
 pub use planner::StorePlanner;
-pub use policy::{EvictionPolicy, Fifo, Lru, PolicyKind, QueueView, SchedulerAware};
+pub use policy::{PolicyKind, QueueView};
 pub use store::{
-    AttentionStore, DegradeReason, FaultStats, FetchOutcome, Lookup, PrefetchOutcome, PrefixMatch,
-    PrefixOutcome, SaveOutcome, StoreConfig, StoreStats, Transfer,
+    AttentionStore, DegradeReason, FaultStats, Lookup, PrefetchOutcome, PrefixMatch, PrefixOutcome,
+    SaveOutcome, StoreConfig, StoreStats, Transfer,
 };

@@ -1,7 +1,7 @@
 //! The planning-side store API the serving engine programs against.
 //!
-//! The engine never touches blocks, entries or eviction internals: during
-//! a run it only *plans* — look up a session's KV on admission, prefetch
+//! The engine never touches blocks, chains or eviction internals: during
+//! a run it only *plans* — consult the stored KV on admission, prefetch
 //! ahead of the queue, save on retirement, truncate or invalidate on
 //! context overflow, expire on TTL sweeps. [`StorePlanner`] captures
 //! exactly that surface, so the engine's transfer stage can be wired to
@@ -9,9 +9,8 @@
 //! the store's API.
 
 use crate::{
-    AttentionStore, ContentKey, DedupStats, FaultStats, FetchOutcome, KeyingMode, Lookup,
-    PrefetchOutcome, PrefixMatch, PrefixOutcome, QueueView, SaveOutcome, SessionId, StoreEvent,
-    StoreStats, Transfer,
+    AttentionStore, ContentKey, DedupStats, FaultStats, KeyingMode, PrefetchOutcome, PrefixMatch,
+    PrefixOutcome, QueueView, SaveOutcome, SessionId, StoreEvent, StoreStats, Transfer,
 };
 use sim::{Dur, FaultPlan, Time};
 
@@ -21,17 +20,19 @@ use sim::{Dur, FaultPlan, Time};
 /// on its simulated links; the store itself never models time beyond
 /// recording access timestamps.
 pub trait StorePlanner {
-    /// Looks up and pins `sid`'s KV for an admitted job, demand-promoting
-    /// disk-resident KV. Returns where it was found plus the transfers.
-    fn load_for_use(
+    /// Longest-prefix match of `sid`'s next `ctx_tokens` of context
+    /// (history plus new input) against the store, pinning and staging
+    /// what matched for an admitted job.
+    fn load_prefix(
         &mut self,
         sid: SessionId,
+        ctx_tokens: u64,
         now: Time,
         queue: &QueueView,
-    ) -> (Lookup, Vec<Transfer>);
+    ) -> PrefixMatch;
 
     /// Number of cached tokens for `sid`, if present in any tier.
-    fn entry_tokens(&self, sid: SessionId) -> Option<u64>;
+    fn cached_tokens(&self, sid: SessionId) -> Option<u64>;
 
     /// Runs the scheduler-aware prefetcher over the queue (§3.3.1).
     fn prefetch(&mut self, now: Time, queue: &QueueView) -> Vec<Transfer>;
@@ -92,19 +93,6 @@ pub trait StorePlanner {
         FaultStats::default()
     }
 
-    /// Fallible [`StorePlanner::load_for_use`]: may report injected read
-    /// errors, retries and degradation. Defaults to the infallible path.
-    fn try_load_for_use(&mut self, sid: SessionId, now: Time, queue: &QueueView) -> FetchOutcome {
-        let (lookup, transfers) = self.load_for_use(sid, now, queue);
-        FetchOutcome {
-            lookup,
-            transfers,
-            retries: 0,
-            backoff: Dur::ZERO,
-            degraded: None,
-        }
-    }
-
     /// Fallible [`StorePlanner::save`]. Defaults to the infallible path.
     fn try_save(
         &mut self,
@@ -152,26 +140,6 @@ pub trait StorePlanner {
     /// per-session planners.
     fn register_content(&mut self, _sid: SessionId, _key: ContentKey) {}
 
-    /// Longest-prefix match of `sid`'s next `ctx_tokens` of context
-    /// against the store, pinning and staging what matched. Defaults to
-    /// the per-session reduction: the only matchable prefix is the
-    /// session's own cached history.
-    fn load_prefix(
-        &mut self,
-        sid: SessionId,
-        ctx_tokens: u64,
-        now: Time,
-        queue: &QueueView,
-    ) -> PrefixMatch {
-        let matched = self.entry_tokens(sid).unwrap_or(0).min(ctx_tokens);
-        let (lookup, transfers) = self.load_for_use(sid, now, queue);
-        PrefixMatch {
-            matched_tokens: if lookup == Lookup::Miss { 0 } else { matched },
-            lookup,
-            transfers,
-        }
-    }
-
     /// Fallible [`StorePlanner::load_prefix`]. Defaults to the
     /// infallible path.
     fn try_load_prefix(
@@ -197,17 +165,8 @@ pub trait StorePlanner {
 }
 
 impl StorePlanner for AttentionStore {
-    fn load_for_use(
-        &mut self,
-        sid: SessionId,
-        now: Time,
-        queue: &QueueView,
-    ) -> (Lookup, Vec<Transfer>) {
-        AttentionStore::load_for_use(self, sid, now, queue)
-    }
-
-    fn entry_tokens(&self, sid: SessionId) -> Option<u64> {
-        self.cached_tokens(sid)
+    fn cached_tokens(&self, sid: SessionId) -> Option<u64> {
+        AttentionStore::cached_tokens(self, sid)
     }
 
     fn prefetch(&mut self, now: Time, queue: &QueueView) -> Vec<Transfer> {
@@ -269,10 +228,6 @@ impl StorePlanner for AttentionStore {
         *AttentionStore::fault_stats(self)
     }
 
-    fn try_load_for_use(&mut self, sid: SessionId, now: Time, queue: &QueueView) -> FetchOutcome {
-        AttentionStore::try_load_for_use(self, sid, now, queue)
-    }
-
     fn try_save(
         &mut self,
         sid: SessionId,
@@ -328,7 +283,7 @@ impl StorePlanner for AttentionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{StoreConfig, TierId};
+    use crate::{Lookup, StoreConfig, TierId};
 
     /// The trait is object-safe and the blanket impl delegates.
     #[test]
@@ -340,11 +295,12 @@ mod tests {
         let (t, ok) = planner.save(sid, 1_000_000, 100, Time::ZERO, &view);
         assert!(ok);
         assert!(t.is_empty());
-        assert_eq!(planner.entry_tokens(sid), Some(100));
-        let (found, _) = planner.load_for_use(sid, Time::ZERO, &view);
-        assert_eq!(found, Lookup::Hit(TierId(0)));
+        assert_eq!(planner.cached_tokens(sid), Some(100));
+        let m = planner.load_prefix(sid, 150, Time::ZERO, &view);
+        assert_eq!(m.lookup, Lookup::Hit(TierId(0)));
+        assert_eq!(m.matched_tokens, 100);
         assert_eq!(planner.stats().saves, 1);
         planner.invalidate(sid);
-        assert_eq!(planner.entry_tokens(sid), None);
+        assert_eq!(planner.cached_tokens(sid), None);
     }
 }

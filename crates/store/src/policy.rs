@@ -2,7 +2,9 @@
 
 use std::collections::HashMap;
 
-use crate::{Entry, SessionId};
+use sim::Time;
+
+use crate::SessionId;
 
 /// A read-only view of the job scheduler's queue, head first.
 ///
@@ -112,6 +114,13 @@ impl QueueView {
 }
 
 /// Which eviction policy an [`crate::AttentionStore`] runs.
+///
+/// Every policy ranks a tier's unpinned nodes in one order — least
+/// recently used first, or earliest inserted first for FIFO — and the
+/// store walks that order for victims.
+/// Only the scheduler-aware policy also looks at the queue: it passes
+/// over nodes a session inside the look-ahead eviction window will read,
+/// and runs the look-ahead prefetcher (§3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
     /// The paper's look-ahead policy (§3.3.2) with prefetching (§3.3.1).
@@ -123,214 +132,27 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Instantiates the policy.
-    pub fn build(self) -> Box<dyn EvictionPolicy> {
+    /// Whether victim choice consults the queue and the store runs the
+    /// look-ahead prefetcher. History-only baselines (LRU/FIFO, Figure
+    /// 21) see no queue and never prefetch.
+    pub fn is_scheduler_aware(self) -> bool {
+        self == PolicyKind::SchedulerAware
+    }
+
+    /// A node's key in its tier's victim order, first victim first:
+    /// least recently used (ties by insertion) for the scheduler-aware
+    /// and LRU policies, earliest inserted for FIFO.
+    pub(crate) fn order_key(self, last_access: Time, insert_seq: u64) -> (Time, u64) {
         match self {
-            PolicyKind::SchedulerAware => Box::new(SchedulerAware),
-            PolicyKind::Lru => Box::new(Lru),
-            PolicyKind::Fifo => Box::new(Fifo),
+            PolicyKind::Fifo => (Time::ZERO, insert_seq),
+            PolicyKind::SchedulerAware | PolicyKind::Lru => (last_access, insert_seq),
         }
-    }
-}
-
-/// Chooses which session to evict from a tier.
-pub trait EvictionPolicy {
-    /// Picks a victim among `candidates` (unpinned entries of one tier).
-    ///
-    /// `queue` is the scheduler's queue and `window` the look-ahead
-    /// eviction window length in queue positions; history-only policies
-    /// ignore both. Returns `None` when there are no candidates.
-    fn choose_victim(
-        &self,
-        candidates: &[(SessionId, &Entry)],
-        queue: &QueueView,
-        window: usize,
-    ) -> Option<SessionId>;
-
-    /// Returns `true` when the store should run the look-ahead prefetcher
-    /// for this policy.
-    fn wants_prefetch(&self) -> bool {
-        false
-    }
-}
-
-/// Least-recently-used victim selection.
-pub struct Lru;
-
-impl EvictionPolicy for Lru {
-    fn choose_victim(
-        &self,
-        candidates: &[(SessionId, &Entry)],
-        _queue: &QueueView,
-        _window: usize,
-    ) -> Option<SessionId> {
-        candidates
-            .iter()
-            .min_by_key(|(sid, e)| (e.last_access, e.insert_seq, *sid))
-            .map(|&(sid, _)| sid)
-    }
-}
-
-/// First-in-first-out victim selection.
-pub struct Fifo;
-
-impl EvictionPolicy for Fifo {
-    fn choose_victim(
-        &self,
-        candidates: &[(SessionId, &Entry)],
-        _queue: &QueueView,
-        _window: usize,
-    ) -> Option<SessionId> {
-        candidates
-            .iter()
-            .min_by_key(|(sid, e)| (e.insert_seq, *sid))
-            .map(|&(sid, _)| sid)
-    }
-}
-
-/// The paper's scheduler-aware eviction (§3.3.2).
-///
-/// Entries whose sessions do **not** appear in the look-ahead eviction
-/// window are preferred victims (their next use, if any, is beyond the
-/// horizon); among them the least recently used goes first. When every
-/// candidate is in the window, the one nearest the **tail** — the furthest
-/// future use, i.e. the Belady choice within the horizon — is evicted.
-pub struct SchedulerAware;
-
-impl EvictionPolicy for SchedulerAware {
-    fn choose_victim(
-        &self,
-        candidates: &[(SessionId, &Entry)],
-        queue: &QueueView,
-        window: usize,
-    ) -> Option<SessionId> {
-        let in_window = |sid: SessionId| match queue.position(sid) {
-            Some(p) if p < window => Some(p),
-            _ => None,
-        };
-        // Preferred: not referenced within the window; LRU among them.
-        if let Some(&(sid, _)) = candidates
-            .iter()
-            .filter(|&&(sid, _)| in_window(sid).is_none())
-            .min_by_key(|(sid, e)| (e.last_access, e.insert_seq, *sid))
-        {
-            return Some(sid);
-        }
-        // Everything is about to be used: evict the furthest-future one.
-        candidates
-            .iter()
-            .max_by_key(|&&(sid, _)| (in_window(sid).expect("filtered above"), sid))
-            .map(|&(sid, _)| sid)
-    }
-
-    fn wants_prefetch(&self) -> bool {
-        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim::Time;
-
-    fn entry(last_access_ns: u64, insert_seq: u64) -> Entry {
-        Entry {
-            bytes: 100,
-            tokens: 10,
-            placement: crate::TierId(0),
-            blocks: Vec::new(),
-            last_access: Time::from_nanos(last_access_ns),
-            insert_seq,
-            pinned: false,
-            checksum: 0,
-        }
-    }
-
-    #[test]
-    fn lru_picks_oldest_access() {
-        let a = entry(50, 0);
-        let b = entry(10, 1);
-        let c = entry(30, 2);
-        let cands = vec![(SessionId(1), &a), (SessionId(2), &b), (SessionId(3), &c)];
-        assert_eq!(
-            Lru.choose_victim(&cands, &QueueView::empty(), 0),
-            Some(SessionId(2))
-        );
-    }
-
-    #[test]
-    fn fifo_picks_earliest_insert() {
-        let a = entry(50, 7);
-        let b = entry(10, 9);
-        let cands = vec![(SessionId(1), &a), (SessionId(2), &b)];
-        assert_eq!(
-            Fifo.choose_victim(&cands, &QueueView::empty(), 0),
-            Some(SessionId(1))
-        );
-    }
-
-    #[test]
-    fn scheduler_aware_prefers_out_of_window() {
-        // Queue: [s1, s2]; s3 is not queued, so it must be the victim even
-        // though it is the most recently used.
-        let a = entry(10, 0);
-        let b = entry(20, 1);
-        let c = entry(99, 2);
-        let cands = vec![(SessionId(1), &a), (SessionId(2), &b), (SessionId(3), &c)];
-        let q = QueueView::new(&[SessionId(1), SessionId(2)]);
-        assert_eq!(
-            SchedulerAware.choose_victim(&cands, &q, 10),
-            Some(SessionId(3))
-        );
-    }
-
-    #[test]
-    fn scheduler_aware_falls_back_to_tail_of_window() {
-        // All candidates are queued: the one nearest the tail goes.
-        let a = entry(10, 0);
-        let b = entry(20, 1);
-        let cands = vec![(SessionId(1), &a), (SessionId(2), &b)];
-        let q = QueueView::new(&[SessionId(2), SessionId(1)]);
-        assert_eq!(
-            SchedulerAware.choose_victim(&cands, &q, 10),
-            Some(SessionId(1))
-        );
-    }
-
-    #[test]
-    fn window_truncates_the_queue() {
-        // s2 is queued but beyond the window, so it counts as
-        // out-of-window and is preferred over in-window s1.
-        let a = entry(10, 0);
-        let b = entry(5, 1);
-        let cands = vec![(SessionId(1), &a), (SessionId(2), &b)];
-        let q = QueueView::new(&[SessionId(1), SessionId(2)]);
-        assert_eq!(
-            SchedulerAware.choose_victim(&cands, &q, 1),
-            Some(SessionId(2))
-        );
-    }
-
-    #[test]
-    fn empty_candidates_yield_none() {
-        for kind in [
-            PolicyKind::SchedulerAware,
-            PolicyKind::Lru,
-            PolicyKind::Fifo,
-        ] {
-            assert_eq!(
-                kind.build().choose_victim(&[], &QueueView::empty(), 4),
-                None
-            );
-        }
-    }
-
-    #[test]
-    fn only_scheduler_aware_prefetches() {
-        assert!(PolicyKind::SchedulerAware.build().wants_prefetch());
-        assert!(!PolicyKind::Lru.build().wants_prefetch());
-        assert!(!PolicyKind::Fifo.build().wants_prefetch());
-    }
 
     #[test]
     fn rebuild_matches_with_owners_and_reuses_buffers() {

@@ -6,15 +6,15 @@
 //! when no [`sim::FaultPlan`] is installed, so fault-free runs execute
 //! byte-identical code. With a plan installed:
 //!
-//! - disk reads (demand fetches of disk-resident entries, prefetch
-//!   promotions) roll the plan's read-error rate per attempt, retrying
-//!   with exponential backoff up to `retry.max_retries` times;
-//! - a demand fetch that exhausts its retries, or whose entry fails the
-//!   integrity checksum, invalidates the entry and reports a
+//! - disk reads (consults of slow-tier chains, prefetch promotions) roll
+//!   the plan's read-error rate per attempt, retrying with exponential
+//!   backoff up to `retry.max_retries` times;
+//! - a consult that exhausts its retries, or whose chain fails the
+//!   integrity checksum, invalidates the chain and reports a
 //!   [`DegradeReason`] — the engine then serves the turn by RE-style
 //!   re-prefill instead of aborting;
 //! - saves roll the write-error rate the same way; an exhausted save
-//!   drops the (stale) entry so the next turn re-prefills;
+//!   drops the (stale) chain so the next turn re-prefills;
 //! - [`AttentionStore::apply_pressure`] squeezes DRAM residency down to
 //!   a fraction of capacity, modelling a co-located consumer claiming
 //!   host memory.
@@ -32,7 +32,7 @@ use sim::{Dur, FaultPlan, RetryPolicy, SsdFaults, Time};
 use crate::events::StoreEvent;
 use crate::{QueueView, SessionId};
 
-use super::{AttentionStore, Lookup, Transfer};
+use super::{AttentionStore, Transfer};
 
 /// Cumulative fault-path statistics. Kept separate from
 /// [`super::StoreStats`] (which is embedded in golden-pinned reports);
@@ -56,7 +56,7 @@ pub struct FaultStats {
 pub enum DegradeReason {
     /// The disk read exhausted its retry budget.
     ReadFailed,
-    /// The entry failed its integrity checksum.
+    /// The chain failed its integrity checksum.
     Corrupted,
 }
 
@@ -66,33 +66,6 @@ impl DegradeReason {
         match self {
             DegradeReason::ReadFailed => "read_failed",
             DegradeReason::Corrupted => "corrupted",
-        }
-    }
-}
-
-/// Result of a fallible demand fetch.
-#[derive(Debug, Clone)]
-pub struct FetchOutcome {
-    /// Where the KV was found (forced to [`Lookup::Miss`] on degrade).
-    pub lookup: Lookup,
-    /// Tier movements the engine must charge.
-    pub transfers: Vec<Transfer>,
-    /// Read retries that preceded the result.
-    pub retries: u32,
-    /// Total backoff delay accrued across those retries.
-    pub backoff: Dur,
-    /// `Some` when the session degraded to re-prefill.
-    pub degraded: Option<DegradeReason>,
-}
-
-impl FetchOutcome {
-    fn clean(lookup: Lookup, transfers: Vec<Transfer>) -> Self {
-        FetchOutcome {
-            lookup,
-            transfers,
-            retries: 0,
-            backoff: Dur::ZERO,
-            degraded: None,
         }
     }
 }
@@ -172,11 +145,11 @@ impl AttentionStore {
         seq
     }
 
-    /// Integrity checksum to stamp on a saved entry: correct metadata
+    /// Integrity checksum to stamp on a saved chain: correct metadata
     /// hash, or (with probability `corruption_rate`) a corrupted one the
     /// next load will detect.
     pub(super) fn stamp_checksum(&mut self, sid: SessionId, bytes: u64, tokens: u64) -> u64 {
-        let good = crate::Entry::metadata_checksum(sid, bytes, tokens);
+        let good = metadata_checksum(sid, bytes, tokens);
         let Some((seed, ssd, _)) = self.fault_profile() else {
             return good;
         };
@@ -191,99 +164,13 @@ impl AttentionStore {
         }
     }
 
-    /// Fallible demand fetch: [`AttentionStore::load_for_use`] plus
+    /// Fallible prefix consult: [`AttentionStore::load_prefix`] plus
     /// injected read errors (retried with exponential backoff) and the
-    /// integrity check. On exhausted retries or detected corruption the
-    /// entry is invalidated and the outcome reports [`Lookup::Miss`] with
-    /// a [`DegradeReason`] — the caller re-prefills instead of aborting.
-    pub fn try_load_for_use(
-        &mut self,
-        sid: SessionId,
-        now: Time,
-        queue: &QueueView,
-    ) -> FetchOutcome {
-        let Some((seed, ssd, retry)) = self.fault_profile() else {
-            let (lookup, transfers) = self.load_for_use(sid, now, queue);
-            return FetchOutcome::clean(lookup, transfers);
-        };
-        let mut retries = 0u32;
-        let mut backoff = Dur::ZERO;
-        // Slow-tier-resident entries ride the slow read path: roll per
-        // attempt.
-        if self.lookup(sid).is_slow_hit() && ssd.read_error_rate > 0.0 {
-            loop {
-                let key = self.next_fault_roll();
-                if dice(seed, FaultStream::Read, sid.0, key) >= ssd.read_error_rate {
-                    break;
-                }
-                if retries >= retry.max_retries {
-                    let mark = self.trace_mark();
-                    self.fault_stats.read_failures += 1;
-                    self.emit(StoreEvent::ReadFailed {
-                        session: sid.0,
-                        attempts: retry.max_retries + 1,
-                        at: now,
-                    });
-                    self.invalidate(sid);
-                    self.emit_occupancy(mark, now);
-                    return FetchOutcome {
-                        lookup: Lookup::Miss,
-                        transfers: Vec::new(),
-                        retries,
-                        backoff,
-                        degraded: Some(DegradeReason::ReadFailed),
-                    };
-                }
-                backoff += retry.backoff(retries);
-                self.fault_stats.read_retries += 1;
-                self.emit(StoreEvent::ReadRetry {
-                    session: sid.0,
-                    attempt: retries,
-                    at: now,
-                });
-                retries += 1;
-            }
-        }
-        // Integrity check over the saved KV metadata before handing the
-        // entry to the engine (corruption is stamped at save time, so it
-        // can surface from either tier).
-        if let Some(e) = self.entries.get(&sid) {
-            if !e.integrity_ok(sid) {
-                let bytes = e.bytes;
-                let mark = self.trace_mark();
-                self.fault_stats.corruptions_detected += 1;
-                self.emit(StoreEvent::CorruptionDetected {
-                    session: sid.0,
-                    bytes,
-                    at: now,
-                });
-                self.invalidate(sid);
-                self.emit_occupancy(mark, now);
-                return FetchOutcome {
-                    lookup: Lookup::Miss,
-                    transfers: Vec::new(),
-                    retries,
-                    backoff,
-                    degraded: Some(DegradeReason::Corrupted),
-                };
-            }
-        }
-        let (lookup, transfers) = self.load_for_use(sid, now, queue);
-        FetchOutcome {
-            lookup,
-            transfers,
-            retries,
-            backoff,
-            degraded: None,
-        }
-    }
-
-    /// Fallible prefix consult: [`AttentionStore::load_prefix`] plus the
-    /// same injected read errors as
-    /// [`try_load_for_use`](AttentionStore::try_load_for_use). The read
-    /// dice roll when the session's own stored KV sits in a slow tier;
-    /// integrity checksums are a per-session-entry concept, so
-    /// corruption detection only fires under per-session keying.
+    /// integrity check. The read dice roll when the session's own stored
+    /// KV sits in a slow tier. On exhausted retries or a checksum
+    /// mismatch on the session's chain record, the chain is invalidated
+    /// and the outcome reports a miss with a [`DegradeReason`] — the
+    /// caller re-prefills instead of aborting.
     pub fn try_load_prefix(
         &mut self,
         sid: SessionId,
@@ -329,9 +216,12 @@ impl AttentionStore {
                 retries += 1;
             }
         }
-        if let Some(e) = self.entries.get(&sid) {
-            if !e.integrity_ok(sid) {
-                let bytes = e.bytes;
+        // Integrity check over the saved KV metadata before handing the
+        // chain to the engine (corruption is stamped at save time, so it
+        // can surface from any tier).
+        if let Some(r) = self.ledger.session(sid) {
+            if r.checksum != metadata_checksum(sid, r.bytes, r.tokens) {
+                let bytes = r.bytes;
                 let mark = self.trace_mark();
                 self.fault_stats.corruptions_detected += 1;
                 self.emit(StoreEvent::CorruptionDetected {
@@ -360,7 +250,7 @@ impl AttentionStore {
 
     /// Fallible save: [`AttentionStore::save`] plus injected write errors
     /// retried with exponential backoff. An exhausted save drops the
-    /// session's (stale) entry entirely — its next turn re-prefills.
+    /// session's (stale) chain entirely — its next turn re-prefills.
     pub fn try_save(
         &mut self,
         sid: SessionId,
@@ -474,8 +364,8 @@ impl AttentionStore {
     }
 
     /// Applies a DRAM capacity pressure spike: squeezes DRAM residency
-    /// down to `(1 - fraction) · dram_bytes` by demoting victims (pinned
-    /// entries stay). Returns the demotion transfers to charge.
+    /// down to `(1 - fraction) · dram_bytes` by reclaiming dead nodes and
+    /// demoting victims (pinned nodes stay). Returns the demotion transfers to charge.
     ///
     /// # Panics
     ///
@@ -488,34 +378,34 @@ impl AttentionStore {
         let target = (self.cfg.tiers[0].capacity as f64 * (1.0 - fraction)) as u64;
         let mut transfers = Vec::new();
         let mark = self.trace_mark();
-        if self.cfg.keying == crate::KeyingMode::ContentAddressed {
-            while self.dram_used_bytes() > target {
-                if self.ca_free_dead_in(now, crate::TierId(0)) {
-                    continue;
-                }
-                let acting = SessionId(u64::MAX);
-                if !self.ca_demote_one(now, crate::TierId(0), acting, queue, &mut transfers) {
-                    break;
-                }
-            }
-            self.emit_occupancy(mark, now);
-            return transfers;
-        }
+        let mut pass = super::placement::Pass::new(queue);
         while self.dram_used_bytes() > target {
-            let Some(victim) = self.choose_victim_in(crate::TierId(0), queue, None) else {
+            if !self.push_down(now, crate::TierId(0), &[], &mut pass, &mut transfers) {
                 break;
-            };
-            self.demote_session(now, victim, queue, None, &mut transfers);
+            }
         }
         self.emit_occupancy(mark, now);
         transfers
     }
 }
 
+/// The integrity checksum over a chain's saved KV metadata: a pure hash
+/// of `(session, bytes, tokens)` (splitmix64 finalizer).
+pub(super) fn metadata_checksum(session: SessionId, bytes: u64, tokens: u64) -> u64 {
+    let mut x = session
+        .0
+        .wrapping_mul(0x9e3779b97f4a7c15)
+        .wrapping_add(bytes.wrapping_mul(0xbf58476d1ce4e5b9))
+        .wrapping_add(tokens.wrapping_mul(0x94d049bb133111eb));
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
+    x ^ (x >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{StoreConfig, TierId};
+    use crate::{Lookup, PrefixMatch, StoreConfig, TierId};
     use models::TierStack;
 
     fn store() -> AttentionStore {
@@ -536,8 +426,9 @@ mod tests {
         let sid = SessionId(1);
         let out = s.try_save(sid, 1_000_000, 100, Time::ZERO, &q);
         assert!(out.fitted && !out.failed && out.retries == 0);
-        let f = s.try_load_for_use(sid, Time::from_millis(1), &q);
-        assert_eq!(f.lookup, Lookup::Hit(TierId(0)));
+        let f = s.try_load_prefix(sid, 150, Time::from_millis(1), &q);
+        assert_eq!(f.prefix.lookup, Lookup::Hit(TierId(0)));
+        assert_eq!(f.prefix.matched_tokens, 100);
         assert!(f.degraded.is_none() && f.retries == 0 && f.backoff == Dur::ZERO);
         assert_eq!(*s.fault_stats(), FaultStats::default());
     }
@@ -559,8 +450,8 @@ mod tests {
         // Force the entry onto disk so the read path rolls the dice.
         s.apply_pressure(Time::ZERO, 1.0, &q);
         assert_eq!(s.lookup(sid), Lookup::Hit(TierId(1)));
-        let out = s.try_load_for_use(sid, Time::from_millis(5), &q);
-        assert_eq!(out.lookup, Lookup::Miss);
+        let out = s.try_load_prefix(sid, 150, Time::from_millis(5), &q);
+        assert_eq!(out.prefix, PrefixMatch::miss());
         assert_eq!(out.degraded, Some(DegradeReason::ReadFailed));
         assert_eq!(
             out.retries,
@@ -568,7 +459,7 @@ mod tests {
         );
         assert!(out.backoff > Dur::ZERO);
         assert_eq!(s.fault_stats().read_failures, 1);
-        assert!(s.entry(sid).is_none(), "degraded entry is invalidated");
+        assert_eq!(s.lookup(sid), Lookup::Miss, "degraded chain is invalidated");
     }
 
     #[test]
@@ -578,11 +469,11 @@ mod tests {
         let sid = SessionId(9);
         s.set_faults(all_faults(0.0, 0.0, 1.0));
         s.save(sid, 1_000_000, 100, Time::ZERO, &q);
-        let out = s.try_load_for_use(sid, Time::from_millis(5), &q);
-        assert_eq!(out.lookup, Lookup::Miss);
+        let out = s.try_load_prefix(sid, 150, Time::from_millis(5), &q);
+        assert_eq!(out.prefix, PrefixMatch::miss());
         assert_eq!(out.degraded, Some(DegradeReason::Corrupted));
         assert_eq!(s.fault_stats().corruptions_detected, 1);
-        assert!(s.entry(sid).is_none());
+        assert_eq!(s.lookup(sid), Lookup::Miss);
     }
 
     #[test]
@@ -595,7 +486,11 @@ mod tests {
         let out = s.try_save(sid, 1_000_000, 100, Time::from_millis(10), &q);
         assert!(out.failed && !out.fitted);
         assert_eq!(s.fault_stats().write_failures, 1);
-        assert!(s.entry(sid).is_none(), "stale entry dropped on failed save");
+        assert_eq!(
+            s.lookup(sid),
+            Lookup::Miss,
+            "stale chain dropped on failed save"
+        );
     }
 
     #[test]
@@ -606,13 +501,21 @@ mod tests {
         s.set_faults(all_faults(0.0, 0.0, 1.0));
         s.save(sid, 1_000_000, 100, Time::ZERO, &q);
         s.truncate(sid, 500_000, 50);
-        let e = s.entry(sid).expect("still cached");
-        assert!(!e.integrity_ok(sid), "corruption survives truncation");
-        // And an honest entry stays honest through truncation.
+        assert_eq!(s.cached_tokens(sid), Some(50), "still cached");
+        let out = s.try_load_prefix(sid, 80, Time::from_millis(1), &q);
+        assert_eq!(
+            out.degraded,
+            Some(DegradeReason::Corrupted),
+            "corruption survives truncation"
+        );
+        // And an honest chain stays honest through truncation.
         let mut clean = store();
+        clean.set_faults(all_faults(0.0, 0.0, 1e-12));
         clean.save(sid, 1_000_000, 100, Time::ZERO, &q);
         clean.truncate(sid, 500_000, 50);
-        assert!(clean.entry(sid).expect("cached").integrity_ok(sid));
+        let out = clean.try_load_prefix(sid, 80, Time::from_millis(1), &q);
+        assert_eq!(out.degraded, None);
+        assert_eq!(out.prefix.matched_tokens, 50);
     }
 
     #[test]
@@ -631,7 +534,7 @@ mod tests {
             assert!(t.is_demotion());
             assert_eq!((t.from, t.to), (TierId(0), TierId(1)));
         }
-        assert!(s.entries.values().any(|e| e.placement == TierId(1)));
+        assert!((0..3).any(|i| s.lookup(SessionId(i)) == Lookup::Hit(TierId(1))));
     }
 
     #[test]
@@ -645,7 +548,7 @@ mod tests {
                 let sid = SessionId(i % 10);
                 let sv = s.try_save(sid, 2_000_000, 200, Time::from_millis(i), &q);
                 log.push((sv.retries, sv.failed));
-                let f = s.try_load_for_use(sid, Time::from_millis(i + 1), &q);
+                let f = s.try_load_prefix(sid, 300, Time::from_millis(i + 1), &q);
                 log.push((f.retries, f.degraded.is_some()));
             }
             (log, *s.fault_stats())

@@ -1,47 +1,47 @@
-//! The AttentionStore: tiered KV cache bookkeeping, keyed either by
-//! session (one private entry per conversation, the paper's scheme) or
-//! by content-addressed block chain (fixed-size chunks shared across
-//! sessions with a common token prefix, [`crate::KeyingMode`]).
+//! The AttentionStore: tiered KV cache bookkeeping over one block
+//! ledger of chunk chains.
+//!
+//! Saved KV is stored as *chunk nodes* — spans of KV addressed by their
+//! prefix chain hash — and a session is an ordered chain of node
+//! references. The keying mode ([`crate::KeyingMode`]) decides only the
+//! chunk size and whether dedup events are emitted: under per-session
+//! keying a session is a one-chunk chain (one private node sized to the
+//! whole session, the paper's session-granular unit, §3.3.2); under
+//! content-addressed keying chunks are `block_tokens` long and sessions
+//! with a common token prefix share nodes.
 //!
 //! The implementation is split along its seams:
 //!
 //! - this module: the data types, configuration, statistics ledger and
 //!   the store struct itself (construction, tracing, capacity queries,
-//!   look-ahead window sizing);
-//! - [`placement`]: per-session tier placement — victim selection,
-//!   hop-by-hop demotion, eviction, reserve maintenance and entry
-//!   lifecycle (truncate / invalidate / expire);
-//! - [`fetch`]: the per-session read/write paths — save, demand fetch
-//!   and the scheduler-aware look-ahead prefetcher;
-//! - [`shared`]: the content-addressed block ledger — chunk chains,
-//!   prefix-trie lookup, copy-on-divergence and refcounted eviction.
-//!
-//! Every public operation dispatches on the configured keying mode at
-//! its entry point; the per-session paths are the original code,
-//! untouched, so `per_session` mode stays byte-for-byte identical to
-//! the store before block keying existed.
+//!   look-ahead window sizing, invariant checks);
+//! - [`ledger`]: the node slab, prefix trie, session chains and the
+//!   per-tier victim index;
+//! - [`placement`]: victim choice over next uses, hop-by-hop demotion,
+//!   bottom-tier eviction, reserve maintenance and the chain lifecycle
+//!   (truncate / invalidate / expire);
+//! - [`fetch`]: save, the prefix consult and the scheduler-aware
+//!   look-ahead prefetcher;
+//! - [`faults`]: the fallible `try_*` paths.
 
 mod faults;
 mod fetch;
+mod ledger;
 mod placement;
-mod shared;
 #[cfg(test)]
 mod tests;
 
-pub use faults::{
-    DegradeReason, FaultStats, FetchOutcome, PrefetchOutcome, PrefixOutcome, SaveOutcome,
-};
-pub use shared::PrefixMatch;
+pub use faults::{DegradeReason, FaultStats, PrefetchOutcome, PrefixOutcome, SaveOutcome};
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use models::TierStack;
 use serde::{Deserialize, Serialize};
 use sim::{Dur, Time};
 
-use crate::chain::KeyingMode;
+use crate::chain::{ContentKey, DedupStats, KeyingMode};
 use crate::events::{StoreEvent, StoreEventLog, StoreObserver};
-use crate::{BlockPool, Entry, PolicyKind, SessionId, TierId};
+use crate::{BlockPool, PolicyKind, SessionId, TierId};
 
 /// One adjacent-tier hop produced by a store operation, for the engine to
 /// charge on the corresponding [`sim::BandwidthLink`].
@@ -110,6 +110,31 @@ impl Lookup {
     }
 }
 
+/// Result of a prefix consult.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PrefixMatch {
+    /// Tokens of the requested context covered by stored chunks (the
+    /// engine prefills only the unmatched tail).
+    pub matched_tokens: u64,
+    /// Where the deepest matched chunk was found (`Miss` when nothing
+    /// matched).
+    pub lookup: Lookup,
+    /// Adjacent-tier hops to charge (promotions of matched chunks plus
+    /// any demotions that made room for them).
+    pub transfers: Vec<Transfer>,
+}
+
+impl PrefixMatch {
+    /// A match of nothing.
+    pub fn miss() -> Self {
+        PrefixMatch {
+            matched_tokens: 0,
+            lookup: Lookup::Miss,
+            transfers: Vec::new(),
+        }
+    }
+}
+
 /// Store configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoreConfig {
@@ -121,8 +146,8 @@ pub struct StoreConfig {
     /// Eviction policy (and, for scheduler-aware, prefetching).
     #[serde(skip, default = "default_policy")]
     pub policy: PolicyKind,
-    /// How saved KV is keyed: per-session private entries (the paper's
-    /// scheme and the default) or content-addressed block chains shared
+    /// How saved KV is keyed: one private chunk per session (the paper's
+    /// scheme and the default) or content-addressed chunk chains shared
     /// across sessions.
     #[serde(skip, default)]
     pub keying: KeyingMode,
@@ -140,9 +165,7 @@ pub struct StoreConfig {
     pub dram_reserve_fraction: f64,
     /// Assumed average stored size per session before anything is
     /// cached, bytes — the window-sizing fallback. Once data exists the
-    /// windows use the observed mean instead: mean entry bytes under
-    /// per-session keying, block size × observed chain length under
-    /// block keying.
+    /// windows use the observed mean bytes of the stored chains instead.
     pub default_session_bytes: u64,
 }
 
@@ -246,23 +269,18 @@ pub struct StoreStats {
 /// // A finished conversation turn saves its session's KV cache.
 /// let (_, saved) = store.save(SessionId(7), 1_500_000_000, 1_900, Time::ZERO, &queue);
 /// assert!(saved);
-/// // The session resumes: its KV is found in the fast tier and pinned.
-/// let (found, _) = store.load_for_use(SessionId(7), Time::from_millis(60_000), &queue);
-/// assert_eq!(found, Lookup::Hit(TierId(0)));
+/// // The session resumes with 100 new tokens: its stored 1,900 are
+/// // found in the fast tier and pinned; only the new tokens prefill.
+/// let m = store.load_prefix(SessionId(7), 2_000, Time::from_millis(60_000), &queue);
+/// assert_eq!(m.lookup, Lookup::Hit(TierId(0)));
+/// assert_eq!(m.matched_tokens, 1_900);
 /// ```
 pub struct AttentionStore {
     cfg: StoreConfig,
-    policy: Box<dyn crate::EvictionPolicy>,
     /// One block pool per configured tier, fastest first.
     pools: Vec<BlockPool>,
-    entries: BTreeMap<SessionId, Entry>,
-    /// Σ `bytes` over `entries`, kept current by every insert, resize and
-    /// removal so `avg_session_bytes` need not re-sum the map.
-    entry_bytes: u64,
-    /// The content-addressed block ledger (empty and inert under
-    /// per-session keying).
-    shared: shared::BlockLedger,
-    next_seq: u64,
+    /// The chunk nodes and the session chains over them.
+    ledger: ledger::BlockLedger,
     stats: StoreStats,
     /// Drainable event buffer; `None` = tracing off (zero cost).
     trace: Option<StoreEventLog>,
@@ -280,20 +298,15 @@ pub struct AttentionStore {
 impl AttentionStore {
     /// Creates a store from a configuration.
     pub fn new(cfg: StoreConfig) -> Self {
-        let policy = cfg.policy.build();
         let pools = cfg
             .tiers
             .iter()
             .map(|t| BlockPool::new(t.name, t.capacity, cfg.block_bytes))
             .collect();
         AttentionStore {
+            ledger: ledger::BlockLedger::new(cfg.policy),
             cfg,
-            policy,
             pools,
-            entries: BTreeMap::new(),
-            entry_bytes: 0,
-            shared: shared::BlockLedger::default(),
-            next_seq: 0,
             stats: StoreStats::default(),
             trace: None,
             faults: None,
@@ -320,13 +333,11 @@ impl AttentionStore {
                         at: Time::ZERO,
                     });
                 }
-                if self.cfg.keying == KeyingMode::ContentAddressed {
-                    log.on_store_event(StoreEvent::BlockConfig {
-                        block_tokens: self.cfg.block_tokens,
-                        at: Time::ZERO,
-                    });
-                }
                 self.trace = Some(log);
+                self.emit_dedup(StoreEvent::BlockConfig {
+                    block_tokens: self.cfg.block_tokens,
+                    at: Time::ZERO,
+                });
             }
             (false, true) => self.trace = None,
             _ => {}
@@ -346,6 +357,21 @@ impl AttentionStore {
         if let Some(t) = &mut self.trace {
             t.on_store_event(ev);
         }
+    }
+
+    /// Reports a dedup event (the `block_*` vocabulary). Only
+    /// content-addressed keying emits them: per-session traces carry no
+    /// block events.
+    fn emit_dedup(&mut self, ev: StoreEvent) {
+        if self.cfg.keying == KeyingMode::ContentAddressed {
+            self.emit(ev);
+        }
+    }
+
+    /// Tokens per chunk: the whole session under per-session keying,
+    /// `block_tokens` under content-addressed keying.
+    fn chunk_tokens(&self) -> u64 {
+        self.cfg.keying.chunk_tokens(self.cfg.block_tokens)
     }
 
     /// Number of buffered trace events (0 when tracing is off).
@@ -379,40 +405,74 @@ impl AttentionStore {
         &self.stats
     }
 
-    /// Returns where `sid`'s KV currently lives (under block keying,
-    /// the *deepest* tier its chain touches — the worst-case staging
-    /// distance).
-    pub fn lookup(&self, sid: SessionId) -> Lookup {
-        if self.cfg.keying == KeyingMode::ContentAddressed {
-            return self.ca_lookup(sid);
+    /// Cumulative dedup statistics. Per-session chunks are private, so
+    /// under per-session keying nothing dedups (`dedup_blocks` and
+    /// `bytes_saved` stay zero) while the write and reclaim counters
+    /// still count.
+    pub fn dedup_stats(&self) -> DedupStats {
+        self.ledger.dedup
+    }
+
+    /// Registers `sid`'s content key (from the workload's declared shared
+    /// prefix) so its chunks hash into the shared namespace. Must happen
+    /// before the session's first save; later calls are ignored once a
+    /// chain exists (the key travels with the chain from then on).
+    pub fn register_content(&mut self, sid: SessionId, key: ContentKey) {
+        if self.ledger.session(sid).is_none() {
+            self.ledger.keys.insert(sid, key);
         }
-        match self.entries.get(&sid).map(|e| e.placement) {
+    }
+
+    /// The content key `sid`'s chunks hash under: its stored chain's,
+    /// else its registered one, else a private key of its own.
+    fn key_of(&self, sid: SessionId) -> ContentKey {
+        if let Some(r) = self.ledger.session(sid) {
+            return r.key;
+        }
+        self.ledger
+            .keys
+            .get(&sid)
+            .copied()
+            .unwrap_or_else(|| ContentKey::private(sid.0))
+    }
+
+    /// The deepest tier among `chain`'s nodes (the worst-case staging
+    /// distance).
+    fn deepest(&self, chain: &[usize]) -> Option<TierId> {
+        chain.iter().map(|&s| self.ledger.node(s).placement).max()
+    }
+
+    /// Returns where `sid`'s KV currently lives: the *deepest* tier its
+    /// chain touches.
+    pub fn lookup(&self, sid: SessionId) -> Lookup {
+        match self
+            .ledger
+            .session(sid)
+            .and_then(|r| self.deepest(&r.chain))
+        {
             Some(t) => Lookup::Hit(t),
             None => Lookup::Miss,
         }
     }
 
-    /// Returns the entry for `sid`, if cached (per-session keying only;
-    /// block chains have no [`Entry`] — use
-    /// [`cached_tokens`](AttentionStore::cached_tokens)).
-    pub fn entry(&self, sid: SessionId) -> Option<&Entry> {
-        self.entries.get(&sid)
+    /// Tokens of `sid`'s stored KV.
+    pub fn cached_tokens(&self, sid: SessionId) -> Option<u64> {
+        self.ledger.session(sid).map(|r| r.tokens)
     }
 
-    /// Tokens of `sid`'s stored KV, in either keying mode.
-    pub fn cached_tokens(&self, sid: SessionId) -> Option<u64> {
-        if self.cfg.keying == KeyingMode::ContentAddressed {
-            return self.ca_tokens(sid);
-        }
-        self.entries.get(&sid).map(|e| e.tokens)
+    /// Bytes of `sid`'s stored KV.
+    pub fn cached_bytes(&self, sid: SessionId) -> Option<u64> {
+        self.ledger.session(sid).map(|r| r.bytes)
+    }
+
+    /// Whether an in-flight consult holds `sid`'s matched KV pinned.
+    pub fn is_pinned(&self, sid: SessionId) -> bool {
+        self.ledger.pinned.contains_key(&sid)
     }
 
     /// Returns the number of cached sessions.
     pub fn len(&self) -> usize {
-        if self.cfg.keying == KeyingMode::ContentAddressed {
-            return self.ca_len();
-        }
-        self.entries.len()
+        self.ledger.sessions().len()
     }
 
     /// Returns `true` when no sessions are cached.
@@ -450,19 +510,14 @@ impl AttentionStore {
     }
 
     /// Average stored bytes per session, `S_kv`, used to size the
-    /// look-ahead windows; falls back to the configured default when
-    /// empty. Under per-session keying this is the mean entry size;
-    /// under block keying it is block size × observed chain length
-    /// (the mean bytes of the stored chains), so the windows track the
-    /// deduplicated footprint rather than a fixed guess.
+    /// look-ahead windows: the mean bytes of the stored chains (so under
+    /// content-addressed keying, chunk size × observed chain length);
+    /// falls back to the configured default when nothing is stored.
     pub fn avg_session_bytes(&self) -> u64 {
-        if self.cfg.keying == KeyingMode::ContentAddressed {
-            return self.ca_avg_session_bytes();
-        }
-        if self.entries.is_empty() {
-            return self.cfg.default_session_bytes.max(1);
-        }
-        (self.entry_bytes / self.entries.len() as u64).max(1)
+        self.ledger
+            .avg_session_bytes()
+            .unwrap_or(self.cfg.default_session_bytes)
+            .max(1)
     }
 
     /// Look-ahead prefetch window length, `L_pw = C_mem / S_kv` (§3.3.1).
@@ -474,5 +529,103 @@ impl AttentionStore {
     /// `L_ev = (C_mem + C_disk) / S_kv` to the stack's total capacity.
     pub fn eviction_window(&self) -> usize {
         (self.cfg.tiers.total_capacity() / self.avg_session_bytes()) as usize
+    }
+
+    /// Checks the store's structural invariants; returns a description
+    /// of the first violation. Exposed for the property tests.
+    ///
+    /// Every node's users are exactly the chains referencing it, every
+    /// pin is owned by an in-flight consult, the trie maps exactly the
+    /// live nodes, every chain's sums match its nodes, the pools hold
+    /// exactly the nodes' blocks, and the victim index and running byte
+    /// total equal a fresh rebuild.
+    #[doc(hidden)]
+    pub fn validate_blocks(&self) -> Result<(), String> {
+        let l = &self.ledger;
+        for (&hash, &slot) in &l.by_hash {
+            let Some(node) = l.get(slot) else {
+                return Err(format!("by_hash {hash:#x} points at dead slot {slot}"));
+            };
+            if node.chain_hash != hash {
+                return Err(format!(
+                    "by_hash {hash:#x} points at node {:#x}",
+                    node.chain_hash
+                ));
+            }
+        }
+        let live = l.live_slots().count();
+        if l.by_hash.len() != live {
+            return Err(format!(
+                "{} live nodes but {} hash entries",
+                live,
+                l.by_hash.len()
+            ));
+        }
+        // User conservation: a node's users are the chains referencing it.
+        let mut want_users: HashMap<usize, Vec<SessionId>> = HashMap::new();
+        for (&sid, r) in l.sessions() {
+            for &slot in &r.chain {
+                want_users.entry(slot).or_default().push(sid);
+            }
+        }
+        // Pin conservation: pins == pinned-map occurrences.
+        let mut want_pins: HashMap<usize, u64> = HashMap::new();
+        for slots in l.pinned.values() {
+            for &slot in slots {
+                *want_pins.entry(slot).or_insert(0) += 1;
+            }
+        }
+        let mut tier_blocks = vec![0usize; self.pools.len()];
+        for slot in l.live_slots() {
+            let node = l.node(slot);
+            let users = want_users.remove(&slot).unwrap_or_default();
+            if node.users != users {
+                return Err(format!(
+                    "node {slot}: users {:?} but chains of {users:?} reference it",
+                    node.users
+                ));
+            }
+            let pins = want_pins.get(&slot).copied().unwrap_or(0);
+            if node.pins != pins {
+                return Err(format!(
+                    "node {slot}: pins {} but {} consults hold it",
+                    node.pins, pins
+                ));
+            }
+            tier_blocks[node.placement.0] += node.blocks.len();
+        }
+        // Every chain references live nodes only, with consistent sums.
+        for (sid, r) in l.sessions() {
+            let mut tokens = 0;
+            let mut bytes = 0;
+            for &slot in &r.chain {
+                let Some(node) = l.get(slot) else {
+                    return Err(format!("{sid}: chain references dead slot {slot}"));
+                };
+                tokens += node.tokens;
+                bytes += node.bytes;
+            }
+            if r.chain.is_empty() || tokens != r.tokens || bytes != r.bytes {
+                return Err(format!(
+                    "{sid}: ref claims {}t/{}B, chain of {} sums {}t/{}B",
+                    r.tokens,
+                    r.bytes,
+                    r.chain.len(),
+                    tokens,
+                    bytes
+                ));
+            }
+        }
+        // Pool accounting: the pools hold exactly the nodes.
+        for (i, pool) in self.pools.iter().enumerate() {
+            if pool.used_blocks() as usize != tier_blocks[i] {
+                return Err(format!(
+                    "tier {i}: pool holds {} blocks, nodes account for {}",
+                    pool.used_blocks(),
+                    tier_blocks[i]
+                ));
+            }
+        }
+        l.check_derived()
     }
 }

@@ -4,6 +4,7 @@ use sim::{Dur, Time};
 
 use crate::{ContentKey, KeyingMode, PolicyKind, QueueView, SessionId, TierId};
 
+use super::placement::Pass;
 use super::{AttentionStore, Lookup, StoreConfig};
 
 const MB: u64 = 1_000_000;
@@ -31,12 +32,12 @@ fn save_then_load_hits_dram() {
     let (t, ok) = s.save(sid(1), 3 * MB, 100, Time::ZERO, &q);
     assert!(ok && t.is_empty());
     assert_eq!(s.lookup(sid(1)), Lookup::Hit(TierId(0)));
-    let (found, t) = s.load_for_use(sid(1), Time::from_millis(5), &q);
-    assert_eq!(found, Lookup::Hit(TierId(0)));
-    assert!(t.is_empty());
-    assert!(s.entry(sid(1)).unwrap().pinned);
+    let m = s.load_prefix(sid(1), 100, Time::from_millis(5), &q);
+    assert_eq!(m.lookup, Lookup::Hit(TierId(0)));
+    assert!(m.transfers.is_empty());
+    assert!(s.is_pinned(sid(1)));
     s.unpin(sid(1));
-    assert!(!s.entry(sid(1)).unwrap().pinned);
+    assert!(!s.is_pinned(sid(1)));
 }
 
 #[test]
@@ -46,12 +47,12 @@ fn unpin_is_idempotent_and_tolerates_evicted_sessions() {
     // Never-saved session: unpin must be a no-op, not a panic.
     s.unpin(sid(42));
     s.save(sid(1), 3 * MB, 100, Time::ZERO, &q);
-    let _ = s.load_for_use(sid(1), Time::from_millis(5), &q);
-    assert!(s.entry(sid(1)).unwrap().pinned);
+    s.load_prefix(sid(1), 100, Time::from_millis(5), &q);
+    assert!(s.is_pinned(sid(1)));
     // Double-unpin is fine.
     s.unpin(sid(1));
     s.unpin(sid(1));
-    assert!(!s.entry(sid(1)).unwrap().pinned);
+    assert!(!s.is_pinned(sid(1)));
     // Unpin after the entry left the store entirely (crash recovery may
     // release pins for jobs whose sessions were invalidated meanwhile).
     s.invalidate(sid(1));
@@ -63,27 +64,65 @@ fn unpin_is_idempotent_and_tolerates_evicted_sessions() {
 fn miss_for_unknown_session() {
     let mut s = small_store(PolicyKind::SchedulerAware);
     assert_eq!(s.lookup(sid(9)), Lookup::Miss);
-    let (found, t) = s.load_for_use(sid(9), Time::ZERO, &QueueView::empty());
-    assert_eq!(found, Lookup::Miss);
-    assert!(t.is_empty());
+    let m = s.load_prefix(sid(9), 100, Time::ZERO, &QueueView::empty());
+    assert_eq!(m.lookup, Lookup::Miss);
+    assert!(m.transfers.is_empty());
 }
 
+/// DRAM pressure demotes the policy's victim one hop down: LRU the
+/// least recently used session, FIFO the earliest saved one, however
+/// recently it was read.
 #[test]
 fn dram_pressure_demotes_to_disk() {
-    let mut s = small_store(PolicyKind::Lru);
-    let q = QueueView::empty();
-    // Fill DRAM with three sessions, oldest access first.
-    for (i, t_ms) in [(1u64, 0u64), (2, 10), (3, 20)] {
-        s.save(sid(i), 3 * MB, 100, Time::from_millis(t_ms), &q);
+    for (policy, victim) in [(PolicyKind::Lru, sid(2)), (PolicyKind::Fifo, sid(1))] {
+        let mut s = small_store(policy);
+        let q = QueueView::empty();
+        // Fill DRAM with three sessions, then read session 1 again.
+        for (i, t_ms) in [(1u64, 0u64), (2, 10), (3, 20)] {
+            s.save(sid(i), 3 * MB, 100, Time::from_millis(t_ms), &q);
+        }
+        s.load_prefix(sid(1), 100, Time::from_millis(25), &q);
+        s.unpin(sid(1));
+        // A fourth needs room: one session goes down to disk.
+        let (transfers, ok) = s.save(sid(4), 3 * MB, 100, Time::from_millis(30), &q);
+        assert!(ok);
+        assert_eq!(transfers.len(), 1, "{policy:?}");
+        assert_eq!(transfers[0].session, victim, "{policy:?}");
+        assert!(transfers[0].is_demotion());
+        assert_eq!(s.lookup(victim), Lookup::Hit(TierId(1)));
+        assert_eq!(s.lookup(sid(4)), Lookup::Hit(TierId(0)));
     }
-    // A fourth needs room: LRU demotes session 1.
-    let (transfers, ok) = s.save(sid(4), 3 * MB, 100, Time::from_millis(30), &q);
-    assert!(ok);
-    assert_eq!(transfers.len(), 1);
-    assert_eq!(transfers[0].session, sid(1));
-    assert!(transfers[0].is_demotion());
-    assert_eq!(s.lookup(sid(1)), Lookup::Hit(TierId(1)));
-    assert_eq!(s.lookup(sid(4)), Lookup::Hit(TierId(0)));
+}
+
+/// The scheduler-aware victim is the least-recently-used node with no
+/// next use inside the eviction window; when every candidate has one,
+/// the node used furthest in the future goes (the Belady tail).
+#[test]
+fn scheduler_aware_victims_follow_next_use() {
+    let victim_for = |queue: &[u64]| {
+        let mut s = small_store(PolicyKind::SchedulerAware);
+        let empty = QueueView::empty();
+        for (i, t_ms) in [(1u64, 10u64), (2, 20), (3, 30)] {
+            s.save(sid(i), 3 * MB, 100, Time::from_millis(t_ms), &empty);
+        }
+        let order: Vec<SessionId> = queue.iter().copied().map(sid).collect();
+        let (t, ok) = s.save(
+            sid(4),
+            3 * MB,
+            100,
+            Time::from_millis(40),
+            &QueueView::new(&order),
+        );
+        assert!(ok && t.len() == 1 && t[0].is_demotion(), "{t:?}");
+        t[0].session
+    };
+    // Sessions 1 and 2 are about to run: 3 goes although it is warmest.
+    assert_eq!(victim_for(&[1, 2]), sid(3));
+    // All three are queued: the one queued last goes, not the coldest.
+    assert_eq!(victim_for(&[3, 1, 2]), sid(2));
+    // Queued beyond the 13-session eviction window is no use at all.
+    let far: Vec<u64> = (100..120).chain([1, 2, 3]).collect();
+    assert_eq!(victim_for(&far), sid(1));
 }
 
 #[test]
@@ -117,10 +156,11 @@ fn disk_hit_promotes_through_dram() {
         s.save(sid(i), 3 * MB, 100, Time::from_millis(i), &q);
     }
     assert_eq!(s.lookup(sid(1)), Lookup::Hit(TierId(1)));
-    let (found, transfers) = s.load_for_use(sid(1), Time::from_millis(99), &q);
-    assert_eq!(found, Lookup::Hit(TierId(1)));
+    let m = s.load_prefix(sid(1), 100, Time::from_millis(99), &q);
+    assert_eq!(m.lookup, Lookup::Hit(TierId(1)));
     // Promotion evicted someone and brought session 1 up.
-    assert!(transfers
+    assert!(m
+        .transfers
         .iter()
         .any(|t| t.session == sid(1) && t.is_promotion()));
     assert_eq!(s.lookup(sid(1)), Lookup::Hit(TierId(0)));
@@ -131,7 +171,7 @@ fn pinned_entries_are_never_victims() {
     let mut s = small_store(PolicyKind::Lru);
     let q = QueueView::empty();
     s.save(sid(1), 5 * MB, 100, Time::ZERO, &q);
-    s.load_for_use(sid(1), Time::from_millis(1), &q);
+    s.load_prefix(sid(1), 100, Time::from_millis(1), &q);
     // Saving 6 MB would need to demote session 1, but it is pinned, so
     // there is no DRAM candidate: the save spills to disk instead.
     let (transfers, ok) = s.save(sid(2), 6 * MB, 100, Time::from_millis(2), &q);
@@ -186,13 +226,39 @@ fn truncation_shrinks_in_place() {
     s.save(sid(1), 8 * MB, 800, Time::ZERO, &q);
     let used_before = s.dram_used_bytes();
     s.truncate(sid(1), 4 * MB, 400);
-    let e = s.entry(sid(1)).unwrap();
-    assert_eq!(e.bytes, 4 * MB);
-    assert_eq!(e.tokens, 400);
+    assert_eq!(s.cached_bytes(sid(1)), Some(4 * MB));
+    assert_eq!(s.cached_tokens(sid(1)), Some(400));
     assert!(s.dram_used_bytes() < used_before);
     // Growing via truncate is a no-op.
     s.truncate(sid(1), 100 * MB, 1);
-    assert_eq!(s.entry(sid(1)).unwrap().bytes, 4 * MB);
+    assert_eq!(s.cached_bytes(sid(1)), Some(4 * MB));
+}
+
+/// Truncating to zero tokens leaves nothing cached: no zero-byte chain
+/// survives for the prefetcher to "promote" or the reserve to "demote",
+/// and nothing of it counts toward the mean session size.
+#[test]
+fn truncation_to_zero_leaves_nothing_cached() {
+    let mut s = small_store(PolicyKind::SchedulerAware);
+    s.set_tracing(true);
+    let q = QueueView::empty();
+    s.save(sid(1), 3 * MB, 300, Time::ZERO, &q);
+    s.save(sid(2), 3 * MB, 300, Time::ZERO, &q);
+    s.apply_pressure(Time::ZERO, 1.0, &q);
+    assert_eq!(s.lookup(sid(1)), Lookup::Hit(TierId(1)));
+    s.truncate(sid(1), 0, 0);
+    assert_eq!(s.lookup(sid(1)), Lookup::Miss);
+    assert_eq!(s.len(), 1);
+    assert_eq!(s.avg_session_bytes(), 3 * MB);
+    s.validate_blocks()
+        .expect("ledger sound after truncation to zero");
+    let before = *s.stats();
+    s.drain_events();
+    let queue = QueueView::new(&[sid(1)]);
+    assert!(s.prefetch(Time::from_millis(1), &queue).is_empty());
+    assert!(s.maintain_reserve(Time::from_millis(2), &queue).is_empty());
+    assert_eq!(*s.stats(), before, "nothing moved");
+    assert!(s.drain_events().iter().all(|e| e.session() != Some(1)));
 }
 
 #[test]
@@ -207,6 +273,45 @@ fn invalidate_frees_everything() {
     // Invalidating again is a no-op.
     s.invalidate(sid(1));
     assert_eq!(s.stats().drops_invalidated, 1);
+}
+
+/// Invalidation really invalidates under content-addressed keying too:
+/// nothing of the old chain — not even the prefix it shares with another
+/// session — matches the session's next consult, while the sharer keeps
+/// its whole chain.
+#[test]
+fn invalidated_chunks_no_longer_match() {
+    let mut s = AttentionStore::new(StoreConfig {
+        keying: KeyingMode::ContentAddressed,
+        block_tokens: 128,
+        ..small_store(PolicyKind::SchedulerAware).cfg
+    });
+    let q = QueueView::empty();
+    let shared = |private_seed| ContentKey {
+        shared_seed: 5,
+        shared_tokens: 256,
+        private_seed,
+        generation: 0,
+    };
+    s.register_content(sid(2), shared(2));
+    s.register_content(sid(3), shared(3));
+    for n in 1..=3 {
+        s.save(sid(n), 512 * 10_000, 512, Time::ZERO, &q);
+    }
+    for n in [1, 3] {
+        s.invalidate(sid(n));
+        let m = s.load_prefix(sid(n), 600, Time::from_millis(1), &q);
+        assert_eq!(m, crate::PrefixMatch::miss(), "session {n}");
+    }
+    assert_eq!(
+        s.load_prefix(sid(2), 600, Time::from_millis(2), &q)
+            .matched_tokens,
+        512
+    );
+    // Only session 2's four 2-block chunks are left.
+    assert_eq!(s.dram_used_bytes() + s.disk_used_bytes(), 8 * MB);
+    s.validate_blocks()
+        .expect("ledger sound after invalidation");
 }
 
 #[test]
@@ -258,8 +363,15 @@ fn resave_replaces_old_copy_exactly_once() {
     s.save(sid(1), 2 * MB, 100, Time::ZERO, &q);
     s.save(sid(1), 4 * MB, 200, Time::from_millis(1), &q);
     assert_eq!(s.len(), 1);
-    assert_eq!(s.entry(sid(1)).unwrap().bytes, 4 * MB);
-    assert_eq!(s.dram_used_bytes(), 4 * MB);
+    assert_eq!(s.cached_bytes(sid(1)), Some(4 * MB));
+    assert_eq!(s.avg_session_bytes(), 4 * MB);
+    // The stale copy is dead: the next save needing its room reclaims
+    // it rather than demoting anything.
+    let (t, ok) = s.save(sid(2), 6 * MB, 300, Time::from_millis(2), &q);
+    assert!(ok && t.is_empty());
+    assert_eq!(s.dram_used_bytes(), 10 * MB);
+    assert_eq!(s.lookup(sid(1)), Lookup::Hit(TierId(0)));
+    s.validate_blocks().expect("ledger sound after re-save");
 }
 
 /// Regression: a demand fetch under full disk pressure must never
@@ -286,8 +398,8 @@ fn demand_fetch_never_evicts_its_own_session() {
     assert_eq!(s.lookup(sid(3)), Lookup::Hit(TierId(1)));
     // Demand-fetching s1 demotes s2, which needs disk room; the LRU
     // disk victim would be s1 itself — it must be exempt.
-    let (found, _) = s.load_for_use(sid(1), Time::from_millis(3), &q);
-    assert_eq!(found, Lookup::Hit(TierId(1)));
+    let m = s.load_prefix(sid(1), 10, Time::from_millis(3), &q);
+    assert_eq!(m.lookup, Lookup::Hit(TierId(1)));
     assert_eq!(s.lookup(sid(1)), Lookup::Hit(TierId(0)));
     assert_eq!(s.lookup(sid(3)), Lookup::Miss);
 }
@@ -376,10 +488,10 @@ fn owner_attributed_views_tag_store_events() {
     }
 }
 
-/// A content-addressed store on a tight three-tier stack, so random
-/// operations fill every tier and reach demotion, chain release and
-/// dead-node reclaim on each.
-fn tight_block_store() -> AttentionStore {
+/// A store on a tight three-tier stack, so random operations fill every
+/// tier and reach demotion, bottom-tier eviction and dead-node reclaim on
+/// each.
+fn tight_store(policy: PolicyKind, keying: KeyingMode) -> AttentionStore {
     AttentionStore::new(StoreConfig {
         tiers: TierStack::new(vec![
             TierSpec::dram(4 * MB),
@@ -387,8 +499,8 @@ fn tight_block_store() -> AttentionStore {
             TierSpec::ssd(8 * MB),
         ]),
         block_bytes: MB,
-        policy: PolicyKind::SchedulerAware,
-        keying: KeyingMode::ContentAddressed,
+        policy,
+        keying,
         block_tokens: 128,
         ttl: Some(Dur::from_secs_f64(0.02)),
         dram_reserve_fraction: 0.25,
@@ -396,8 +508,8 @@ fn tight_block_store() -> AttentionStore {
     })
 }
 
-/// One random operation on a content-addressed store: sessions in two
-/// pools share a 256-token prefix, at 10 KB of KV per token.
+/// One random operation: sessions in two pools share a 256-token
+/// prefix, at 10 KB of KV per token.
 fn block_op(s: &mut AttentionStore, op: u64, n: u64, tokens: u64, now: Time, q: &QueueView) {
     const BPT: u64 = 10_000;
     let key = ContentKey {
@@ -428,60 +540,64 @@ fn block_op(s: &mut AttentionStore, op: u64, n: u64, tokens: u64, now: Time, q: 
     let _ = s.prefetch(now, q);
 }
 
-/// Every indexed victim choice equals its whole-slab reference scan, on
-/// every tier.
+/// Every indexed victim choice equals its whole-ledger reference scan,
+/// on every tier: the dead-node victim, the next-use victim with no node
+/// held and with each stored chain held, and the chains the bottom-tier
+/// victim's eviction releases.
 fn victims_match_the_scans(s: &AttentionStore, q: &QueueView) -> Result<(), String> {
-    let window = s.eviction_window();
-    let needed = s.ca_queued_slots(q, window);
-    let agree = |what: &str, t: TierId, fast: Option<usize>, naive: Option<usize>| {
-        if fast == naive {
-            Ok(())
-        } else {
-            Err(format!(
-                "{what} victim of {t}: index {fast:?}, scan {naive:?}"
-            ))
-        }
-    };
+    let held: Vec<Vec<usize>> = std::iter::once(Vec::new())
+        .chain(s.ledger.sessions().values().map(|r| r.chain.clone()))
+        .collect();
     for t in (0..s.n_tiers()).map(TierId) {
-        agree("dead", t, s.shared.dead(t).next(), s.naive_dead_victim(t))?;
-        agree(
-            "reserve",
-            t,
-            s.shared.unpinned(t).next(),
-            s.naive_reserve_victim(t),
-        )?;
-        agree(
-            "demote",
-            t,
-            s.ca_demote_victim(t, q, window, &needed),
-            s.naive_demote_victim(t, q, window, &needed),
-        )?;
-        // Every queued target, plus one that is not queued at all, with
-        // the eviction window's working set as the protected set.
-        let targets = q.head(q.len()).enumerate().chain([(q.len(), sid(99))]);
-        for (pos, who) in targets {
-            agree(
-                "prefetch",
-                t,
-                s.ca_prefetch_victim(t, who, pos, &needed, q),
-                s.naive_prefetch_victim(t, who, pos, &needed, q),
-            )?;
+        let (fast, naive) = (s.ledger.dead(t).next(), s.naive_dead_victim(t));
+        if fast != naive {
+            return Err(format!(
+                "dead victim of {t}: index {fast:?}, scan {naive:?}"
+            ));
+        }
+        for h in &held {
+            let fast = s.victim(t, &mut Pass::new(q), h);
+            let naive = s.naive_victim(t, q, h);
+            if fast != naive {
+                return Err(format!(
+                    "victim of {t} holding {h:?}: index {fast:?}, scan {naive:?}"
+                ));
+            }
+        }
+        let bottom_victim = s.victim(t, &mut Pass::new(q), &[]);
+        if let Some(v) = bottom_victim.filter(|_| t == s.bottom_tier()) {
+            let (fast, naive) = (s.users_of(v.slot), s.naive_users(v.slot));
+            if fast != naive.as_slice() {
+                return Err(format!(
+                    "bottom victim {} releases {fast:?}, scan finds {naive:?}",
+                    v.slot
+                ));
+            }
         }
     }
     Ok(())
 }
 
 proptest! {
-    /// The ledger's victim index picks exactly the node the naive scans
-    /// pick, for all four choices on every tier, after every operation
-    /// of a random sequence (and `validate_blocks` confirms the index
-    /// equals a rebuild from the slab).
+    /// The ledger's victim index and next-use map pick exactly the node
+    /// the naive scans pick, on every tier, after every operation of a
+    /// random sequence, under every policy and both keyings (and
+    /// `validate_blocks` confirms the index and the user lists equal a
+    /// rebuild from the slab and the chains).
     #[test]
     fn indexed_victims_match_naive_scans(
         ops in proptest::collection::vec((0u64..8, 0u64..8, 64u64..512), 1..60),
         queued in proptest::collection::vec(0u64..8, 0..4),
+        policy in 0usize..3,
+        content_addressed in proptest::bool::ANY,
     ) {
-        let mut s = tight_block_store();
+        let policy = [PolicyKind::SchedulerAware, PolicyKind::Lru, PolicyKind::Fifo][policy];
+        let keying = if content_addressed {
+            KeyingMode::ContentAddressed
+        } else {
+            KeyingMode::PerSession
+        };
+        let mut s = tight_store(policy, keying);
         let order: Vec<SessionId> = queued.iter().copied().map(sid).collect();
         let q = QueueView::new(&order);
         for (step, &(op, n, tokens)) in ops.iter().enumerate() {
@@ -492,6 +608,41 @@ proptest! {
             }
         }
     }
+}
+
+/// A dead node in tier 0 is reclaimed before the prefetcher picks a
+/// victim: the stale copy is freed, never written down the stack.
+#[test]
+fn prefetch_reclaims_dead_nodes_before_demoting() {
+    // 128-token chunks of just under 1 MB: one allocation block each.
+    const BPT: u64 = 7_800;
+    let mut s = AttentionStore::new(StoreConfig {
+        keying: KeyingMode::ContentAddressed,
+        block_tokens: 128,
+        ..small_store(PolicyKind::SchedulerAware).cfg
+    });
+    let q = QueueView::empty();
+    s.save(sid(1), 384 * BPT, 384, Time::ZERO, &q);
+    s.apply_pressure(Time::ZERO, 1.0, &q);
+    assert_eq!(s.lookup(sid(1)), Lookup::Hit(TierId(1)));
+    // Session 9 shrinks from three chunks to one: the two it released
+    // stay behind in tier 0, dead, and older than anything saved next.
+    s.save(sid(9), 384 * BPT, 384, Time::from_millis(1), &q);
+    s.save(sid(9), 128 * BPT, 128, Time::from_millis(2), &q);
+    s.save(sid(2), 384 * BPT, 384, Time::from_millis(3), &q);
+    s.save(sid(3), 384 * BPT, 384, Time::from_millis(4), &q);
+    assert_eq!(s.dram_used_bytes(), 9 * MB);
+    s.set_tracing(true);
+    let queue = QueueView::new(&[sid(1)]);
+    let transfers = s.prefetch(Time::from_millis(5), &queue);
+    assert!(transfers.iter().all(|t| t.is_promotion()), "{transfers:?}");
+    assert_eq!(s.lookup(sid(1)), Lookup::Hit(TierId(0)));
+    assert_eq!(s.stats().demotions, 3, "only the pressure spike demoted");
+    assert!(!s
+        .drain_events()
+        .iter()
+        .any(|e| matches!(e, crate::StoreEvent::Demoted { .. })));
+    s.validate_blocks().expect("ledger sound after prefetch");
 }
 
 /// The running byte totals behind `avg_session_bytes` follow saves,

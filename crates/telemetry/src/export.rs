@@ -25,7 +25,7 @@
 //! [`to_chrome_trace_with_alerts`] overlays the alert transitions on the
 //! Perfetto timeline as globally scoped instant events.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use engine::EngineEvent;
 use serde::{Serialize, Value};
@@ -166,7 +166,7 @@ pub fn to_chrome_trace_with_alerts(records: &[TraceRecord], alerts: &[AlertEvent
 fn chrome_events(records: &[TraceRecord], alerts: &[AlertEvent]) -> Vec<Value> {
     let mut events: Vec<Value> = Vec::new();
     let mut named_pids: Vec<u64> = Vec::new();
-    let mut named_threads: Vec<(u64, u64)> = Vec::new();
+    let mut named_threads: HashSet<(u64, u64)> = HashSet::new();
     // Open span starts, keyed by session: (pid at start, start time).
     let mut queued_at: HashMap<u64, (u64, f64)> = HashMap::new();
     let mut admitted_at: HashMap<u64, (u64, f64)> = HashMap::new();
@@ -192,8 +192,7 @@ fn chrome_events(records: &[TraceRecord], alerts: &[AlertEvent]) -> Vec<Value> {
             events.push(metadata("process_name", pid, None, &label));
         }
         if let Some(sid) = rec.ev.session() {
-            if !named_threads.contains(&(pid, sid)) {
-                named_threads.push((pid, sid));
+            if named_threads.insert((pid, sid)) {
                 events.push(metadata(
                     "thread_name",
                     pid,
@@ -368,11 +367,17 @@ fn chrome_events(records: &[TraceRecord], alerts: &[AlertEvent]) -> Vec<Value> {
 
 /// Wraps trace events in the `{"traceEvents": [...]}` envelope.
 fn chrome_envelope(events: Vec<Value>) -> String {
-    let envelope = obj(vec![
-        ("traceEvents", Value::Array(events)),
-        ("displayTimeUnit", Value::Str("ms".to_string())),
-    ]);
-    serde_json::to_string(&envelope).expect("trace envelope always serializes")
+    // Events are written (and freed) one at a time: serializing the
+    // envelope as a single `Value` would first clone the whole tree.
+    let mut out = String::from("{\"traceEvents\":[");
+    for (i, ev) in events.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        serde_json::push_value(&mut out, &ev);
+    }
+    out.push_str("],\"displayTimeUnit\":\"ms\"}");
+    out
 }
 
 /// Virtual pid of the host-time self-profile process track.

@@ -79,7 +79,6 @@ pub struct MetricsHub {
     dedup_bytes_saved: Counter,
     dedup_bytes_written: Counter,
     block_divergences: Counter,
-    block_demotions: Counter,
     block_evictions: Counter,
     // Fault-stream aggregates (all-zero without a fault plan).
     read_retries: Counter,
@@ -177,7 +176,6 @@ impl MetricsHub {
             dedup_bytes_saved: Counter::new(),
             dedup_bytes_written: Counter::new(),
             block_divergences: Counter::new(),
-            block_demotions: Counter::new(),
             block_evictions: Counter::new(),
             read_retries: Counter::new(),
             read_failures: Counter::new(),
@@ -322,7 +320,6 @@ impl MetricsHub {
                 }
             },
             block_divergences: self.block_divergences.get(),
-            block_demotions: self.block_demotions.get(),
             block_evictions: self.block_evictions.get(),
             read_retries: self.read_retries.get(),
             read_failures: self.read_failures.get(),
@@ -517,7 +514,6 @@ impl EngineObserver for MetricsHub {
                 self.blocks_matched.add(matched_blocks);
             }
             StoreEvent::BlockDiverged { .. } => self.block_divergences.incr(),
-            StoreEvent::BlockDemoted { .. } => self.block_demotions.incr(),
             StoreEvent::BlockEvicted { .. } => self.block_evictions.incr(),
             StoreEvent::ReadRetry { .. } => self.read_retries.incr(),
             StoreEvent::ReadFailed { .. } => self.read_failures.incr(),
@@ -639,8 +635,6 @@ pub struct MetricsSnapshot {
     pub dedup_ratio: f64,
     /// Sessions that forked off a shared chain (copy-on-divergence).
     pub block_divergences: u64,
-    /// Block demotions to a slower tier.
-    pub block_demotions: u64,
     /// Unreferenced blocks reclaimed (refcounted eviction).
     pub block_evictions: u64,
     /// Injected slow-tier read errors that were retried.

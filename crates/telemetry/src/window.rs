@@ -77,8 +77,6 @@ pub struct WindowCounters {
     pub blocks_written: u64,
     /// Sessions forked off a shared chain (copy-on-divergence).
     pub block_divergences: u64,
-    /// Block demotions to a slower tier.
-    pub block_demotions: u64,
     /// Unreferenced blocks reclaimed (refcounted eviction).
     pub block_evictions: u64,
     /// Injected read errors that were retried.
@@ -145,7 +143,6 @@ impl WindowCounters {
         self.blocks_deduped += other.blocks_deduped;
         self.blocks_written += other.blocks_written;
         self.block_divergences += other.block_divergences;
-        self.block_demotions += other.block_demotions;
         self.block_evictions += other.block_evictions;
         self.read_retries += other.read_retries;
         self.read_failures += other.read_failures;
@@ -601,7 +598,6 @@ impl EngineObserver for WindowedHub {
             StoreEvent::BlockDiverged { .. } => {
                 self.window_at(at).counters.block_divergences += 1;
             }
-            StoreEvent::BlockDemoted { .. } => self.window_at(at).counters.block_demotions += 1,
             StoreEvent::BlockEvicted { .. } => self.window_at(at).counters.block_evictions += 1,
             StoreEvent::ReadRetry { .. } => self.window_at(at).counters.read_retries += 1,
             StoreEvent::ReadFailed { .. } => self.window_at(at).counters.read_failures += 1,

@@ -67,9 +67,10 @@ fn main() {
     println!("prefetched from disk: {promoted:?}");
     assert_eq!(store.lookup(SessionId(1)), Lookup::Hit(TierId(0)));
 
-    // Demand access pins the entry; saving the grown KV replaces it.
-    let (found, _) = store.load_for_use(SessionId(1), Time::from_secs_f64(21.0), &queue);
-    assert_eq!(found, Lookup::Hit(TierId(0)));
+    // Demand access (history plus the new turn's input) pins the stored
+    // prefix; saving the grown KV replaces it.
+    let m = store.load_prefix(SessionId(1), 2_600, Time::from_secs_f64(21.0), &queue);
+    assert_eq!(m.lookup, Lookup::Hit(TierId(0)));
     store.save(
         SessionId(1),
         2 * GB + GB / 2,
@@ -83,8 +84,8 @@ fn main() {
     store.truncate(SessionId(1), GB, 1_250);
     println!(
         "truncated session 1 to {} GB / {} tokens",
-        store.entry(SessionId(1)).unwrap().bytes / GB,
-        store.entry(SessionId(1)).unwrap().tokens
+        store.cached_bytes(SessionId(1)).unwrap() / GB,
+        store.cached_tokens(SessionId(1)).unwrap()
     );
 
     // TTL expiry drops sessions idle for over an hour.

@@ -85,10 +85,12 @@ proptest! {
                     let (_, _) = store.save(SessionId(*sid), *bytes, tokens, now, &empty);
                 }
                 Op::Load { sid } => {
-                    let (found, _) = store.load_for_use(SessionId(*sid), now, &empty);
-                    // A hit means the entry exists afterwards, pinned.
+                    let ctx = store.cached_tokens(SessionId(*sid)).unwrap_or(0);
+                    let found = store.load_prefix(SessionId(*sid), ctx, now, &empty).lookup;
+                    // A hit means the session is still cached, pinned.
                     if found != Lookup::Miss {
-                        prop_assert!(store.entry(SessionId(*sid)).unwrap().pinned);
+                        prop_assert!(store.is_pinned(SessionId(*sid)));
+                        prop_assert!(store.cached_tokens(SessionId(*sid)).is_some());
                     }
                 }
                 Op::Unpin { sid } => store.unpin(SessionId(*sid)),
@@ -109,24 +111,20 @@ proptest! {
             // Capacity invariants: used bytes never exceed tier capacity.
             prop_assert!(store.dram_used_bytes() <= 100 * MB);
             prop_assert!(store.disk_used_bytes() <= 300 * MB);
-            // Every cached session's lookup agrees with its entry.
+            // Every session's lookup agrees with what it has cached, and
+            // nothing cached is empty.
             for sid in 0..24 {
                 let sid = SessionId(sid);
                 match store.lookup(sid) {
-                    Lookup::Miss => prop_assert!(store.entry(sid).is_none()),
-                    _ => prop_assert!(store.entry(sid).is_some()),
+                    Lookup::Miss => prop_assert!(store.cached_tokens(sid).is_none()),
+                    _ => prop_assert!(store.cached_bytes(sid).is_some_and(|b| b > 0)),
                 }
             }
+            // Conservation: the pools hold exactly the stored chunks.
+            if let Err(e) = store.validate_blocks() {
+                prop_assert!(false, "after op {i}: {e}");
+            }
         }
-        // Conservation at the end: sum of entry blocks equals used blocks.
-        let total_entry_bytes: u64 = (0..24)
-            .filter_map(|s| store.entry(SessionId(s)))
-            .map(|e| e.blocks.len() as u64 * 4 * MB)
-            .sum();
-        prop_assert_eq!(
-            total_entry_bytes,
-            store.dram_used_bytes() + store.disk_used_bytes()
-        );
     }
 
     /// The store's transfers are always internally consistent: a

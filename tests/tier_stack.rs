@@ -4,9 +4,10 @@
 //! [`TierStack`]; these tests pressure a four-deep stack (DRAM / pooled
 //! memory / SSD / object store) with random operation sequences and
 //! check the structural invariants the depth-N refactor must uphold:
-//! every resident entry names a configured tier, no tier exceeds its
-//! capacity, pinned entries are never evicted or demoted, and every
-//! reported transfer is a single adjacent-tier hop. A final golden test
+//! every stored session names a configured tier, no tier exceeds its
+//! capacity, pinned sessions are never evicted or demoted, the pools hold
+//! exactly the stored chunks, and every reported transfer is a single
+//! adjacent-tier hop. A final golden test
 //! pins the reduction property: an explicitly constructed 2-tier stack
 //! reproduces the paper-default engine run byte-for-byte.
 
@@ -107,9 +108,10 @@ proptest! {
                     pinned.remove(sid);
                 }
                 Op::Load { sid } => {
-                    let (found, transfers) = store.load_for_use(SessionId(*sid), now, &empty);
-                    hops = transfers;
-                    if let Lookup::Hit(t) = found {
+                    let ctx = store.cached_tokens(SessionId(*sid)).unwrap_or(0);
+                    let m = store.load_prefix(SessionId(*sid), ctx, now, &empty);
+                    hops = m.transfers;
+                    if let Lookup::Hit(t) = m.lookup {
                         // `found` names the tier the KV was found in;
                         // the load stages it in tier 0 (or pins it in
                         // place when tier 0 cannot hold it).
@@ -152,12 +154,10 @@ proptest! {
                     "tier {idx} over capacity"
                 );
             }
-            // Pinned entries were neither evicted nor demoted (they may
+            // Pinned sessions were neither evicted nor demoted (they may
             // have been promoted; ratchet the bound downward).
             for (sid, floor) in pinned.iter_mut() {
-                let e = store.entry(SessionId(*sid));
-                prop_assert!(e.is_some(), "pinned session {sid} evicted");
-                prop_assert!(e.unwrap().pinned, "session {sid} lost its pin");
+                prop_assert!(store.is_pinned(SessionId(*sid)), "session {sid} lost its pin");
                 match store.lookup(SessionId(*sid)) {
                     Lookup::Hit(t) => {
                         prop_assert!(
@@ -167,17 +167,14 @@ proptest! {
                         );
                         *floor = t.0;
                     }
-                    Lookup::Miss => unreachable!("entry checked above"),
+                    Lookup::Miss => prop_assert!(false, "pinned session {sid} evicted"),
                 }
             }
+            // Conservation: the pools hold exactly the stored chunks.
+            if let Err(e) = store.validate_blocks() {
+                prop_assert!(false, "after op {i}: {e}");
+            }
         }
-        // Conservation: entries' blocks equal the per-tier usage sum.
-        let total_entry_bytes: u64 = (0..32)
-            .filter_map(|s| store.entry(SessionId(s)))
-            .map(|e| e.blocks.len() as u64 * 4 * MB)
-            .sum();
-        let total_used: u64 = (0..depth).map(|i| store.tier_used_bytes(TierId(i))).sum();
-        prop_assert_eq!(total_entry_bytes, total_used);
     }
 }
 
