@@ -5,9 +5,13 @@
 #
 # 1. rustfmt check (no dirty formatting lands)
 # 2. release build of the whole workspace (examples + benches included)
-# 3. full test suite (unit, integration, golden-report, proptests, doctests)
+# 3. full test suite (unit, integration, golden-report, proptests, doctests),
+#    then the benchmark package's tests: perfbench is its own workspace,
+#    so the workspace build never compiles it, yet it matches the event
+#    enums by variant and field
 # 4. clippy with warnings denied
 # 5. telemetry smoke: capture a small traced run, validate the outputs
+#    (every JSONL line against the schema the event tables generate)
 # 6. cluster smoke: 2-instance run with telemetry, validated the same way
 # 7. chaos smoke: fixed-seed faulted run (crash + SSD errors), validated
 #    the same way
@@ -48,6 +52,9 @@ cargo build --release --workspace
 
 echo "==> cargo test --workspace"
 cargo test --workspace -q
+
+echo "==> cargo test (perfbench)"
+cargo test --release -q --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -87,8 +87,8 @@ fn main() {
     println!(
         "  events={} turns={} retired={}",
         tel.records().len(),
-        snap.turns_arrived,
-        snap.retired
+        snap.counters.turns_arrived,
+        snap.counters.retired
     );
     for inst in &report.instances {
         println!(

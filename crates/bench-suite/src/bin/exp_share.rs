@@ -90,7 +90,8 @@ fn main() {
     }
 
     let snap = tel.snapshot();
-    let lookups = snap.hits_fast + snap.hits_slow + snap.misses;
+    let c = &snap.counters;
+    let lookups = c.hits_fast + c.hits_slow + c.misses;
     println!(
         "exp_share: scenario '{}' under {} keying ({} sessions)",
         case.label,
@@ -105,7 +106,7 @@ fn main() {
         if lookups == 0 {
             0.0
         } else {
-            snap.hits_fast as f64 / lookups as f64
+            c.hits_fast as f64 / lookups as f64
         },
         report.aggregate.sessions_done.get()
     );

@@ -59,6 +59,7 @@ fn main() {
     }
 
     let snap = tel.snapshot();
+    let c = &snap.counters;
     println!(
         "exp_trace: {} on Llama2-13B, {} sessions",
         mode.label(),
@@ -67,21 +68,25 @@ fn main() {
     println!(
         "  events={} (engine+store), turns={}, retired={}",
         tel.records().len(),
-        snap.turns_arrived,
-        snap.retired
+        c.turns_arrived,
+        c.retired
     );
     println!(
         "  report hit_rate={:.3}, hub hit_rate={:.3} (hub counts warmup turns too)",
         report.hit_rate(),
         snap.hit_rate
     );
+    let tier_hits: Vec<String> = snap
+        .tiers
+        .iter()
+        .map(|t| format!("{}={}", t.name, t.store_hits))
+        .collect();
     println!(
-        "  store: dram_hits={} disk_hits={} misses={} saves={} prefetches={}",
-        snap.store_hits_dram,
-        snap.store_hits_disk,
-        snap.store_misses,
-        snap.saves,
-        snap.prefetch_promotions
+        "  store: hits [{}] misses={} saves={} prefetches={}",
+        tier_hits.join(" "),
+        c.store_misses,
+        c.saves,
+        c.prefetch_promotions
     );
     println!(
         "  ttft mean={:.3}s p99={:.3}s, queue wait mean={:.3}s",

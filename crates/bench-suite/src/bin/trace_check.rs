@@ -5,10 +5,14 @@
 //!             [--windows PATH] [--self-profile PATH]
 //! ```
 //!
-//! Checks that a JSONL trace parses line-by-line, covers every event
-//! category the taxonomy defines (`session`, `sched`, `gpu` from the
-//! engine; `cache`, `tiering`, `gauge` from the store — `stall` is
-//! workload-dependent and not required), and forms well-formed spans:
+//! Checks that a JSONL trace parses line-by-line, that every line
+//! matches the schema the event tables generate (a declared kind, the
+//! category the schema gives it, and exactly the declared fields with
+//! their JSON types; see `telemetry::check_record`), that the trace
+//! covers every event category the taxonomy defines (`session`, `sched`,
+//! `gpu` from the engine; `cache`, `tiering`, `gauge` from the store —
+//! `stall` is workload-dependent and not required), and that it forms
+//! well-formed spans:
 //! every session walks the turn lifecycle in order, every opened
 //! stage reaches a matching terminal event for the same session (a
 //! prefetch `promoted` has its `prefetch_completed`, an arrival
@@ -24,12 +28,12 @@
 //! `block_saved` writes bytes exactly when it allocates fresh chunks.
 //!
 //! Overload-controlled traces are gated the same way on their
-//! `slo_config` header: every overload event (`turn_shed`,
-//! `overload_level`, `scale_up`, `scale_down`) requires the header to
-//! have appeared first, so an SLO-free trace must be overload-event-free
-//! byte-for-byte. A `turn_shed` is a terminal typed rejection: legal
-//! only in the `arrived` phase (the turn closes with no pipeline spans),
-//! with a known `reason`. Scaling must be reflected in instance
+//! `slo_config` header: every other event of the schema's `overload`
+//! category requires the header to have appeared first, so an SLO-free
+//! trace must be overload-event-free byte-for-byte. A `turn_shed` is a
+//! terminal typed rejection: legal only in the `arrived` phase (the turn
+//! closes with no pipeline spans), with a known `reason`. Scaling must
+//! be reflected in instance
 //! attribution: after a `scale_down` retires an instance, no
 //! session-scoped engine event may be attributed to it until a
 //! `scale_up` revives it.
@@ -37,7 +41,7 @@
 //! A Chrome
 //! trace must be valid JSON with a non-empty `traceEvents` array whose
 //! duration slices all have `dur >= 0`; a metrics snapshot must parse
-//! as a JSON object.
+//! as a JSON object with a `counters` object, `hit_rate` and `tiers`.
 //!
 //! `--self-profile` validates a host-time self-profile (the JSON
 //! `exp_scale --out` writes, or any object carrying a `self_profile`
@@ -63,12 +67,13 @@ use std::collections::{BTreeSet, HashMap};
 use std::process::ExitCode;
 
 use serde::Value;
+use telemetry::check_record;
 
 /// Categories that any non-trivial CachedAttention run must emit.
 const REQUIRED_CATEGORIES: [&str; 6] = ["session", "sched", "gpu", "cache", "tiering", "gauge"];
 
-/// Overload vocabulary gated on the `slo_config` header.
-const OVERLOAD_KINDS: [&str; 4] = ["turn_shed", "overload_level", "scale_up", "scale_down"];
+/// The header every other `overload`-category event is gated on.
+const SLO_HEADER: &str = "slo_config";
 
 fn arg_value(flag: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -163,16 +168,6 @@ impl SpanChecker {
                                 "prefill_timed for session {session}: bad `{field}` {other:?}"
                             ))
                         }
-                    }
-                }
-                // The optional hit-tier index (present only when the
-                // turn reused cached KV) must be a tier-stack index.
-                match get("tier") {
-                    None | Some(Value::U64(_)) => {}
-                    other => {
-                        return Err(format!(
-                            "prefill_timed for session {session}: bad `tier` {other:?}"
-                        ))
                     }
                 }
             }
@@ -292,55 +287,47 @@ fn check_block_event(
              events"
         ));
     }
+    // `check_record` already held every field to its declared type.
+    let uint = |key: &str| match get(key) {
+        Some(Value::U64(n)) => n,
+        other => unreachable!("schema-checked `{key}` is {other:?}"),
+    };
     match kind {
-        "block_evicted" => match get("refs") {
-            Some(Value::U64(0)) => Ok(()),
-            other => Err(format!(
-                "block_evicted with `refs` {other:?} — referenced nodes are never evicted"
-            )),
-        },
-        "block_dedup_hit" => {
-            let blocks = match get("matched_blocks") {
-                Some(Value::U64(n)) if n >= 1 => n,
-                other => {
-                    return Err(format!(
-                        "block_dedup_hit with bad `matched_blocks` {other:?}"
-                    ))
-                }
-            };
-            match get("bytes") {
-                Some(Value::U64(b)) if b >= blocks => Ok(()),
-                other => Err(format!(
-                    "block_dedup_hit matching {blocks} blocks but `bytes` {other:?}"
-                )),
-            }
+        "block_evicted" if uint("refs") != 0 => Err(format!(
+            "block_evicted with `refs` {} — referenced nodes are never evicted",
+            uint("refs")
+        )),
+        "block_dedup_hit" if uint("matched_blocks") == 0 => {
+            Err("block_dedup_hit matching no blocks".to_string())
         }
-        "block_saved" => {
-            let (new, written) = match (get("new_blocks"), get("bytes_written")) {
-                (Some(Value::U64(n)), Some(Value::U64(w))) => (n, w),
-                other => return Err(format!("block_saved with bad fields {other:?}")),
-            };
-            let dedup = match get("dedup_blocks") {
-                Some(Value::U64(d)) => d,
-                other => return Err(format!("block_saved with bad `dedup_blocks` {other:?}")),
-            };
-            if new + dedup == 0 {
-                return Err("block_saved committing an empty chain".to_string());
-            }
-            if (new == 0) != (written == 0) {
-                return Err(format!(
-                    "block_saved wrote {written} bytes over {new} fresh chunks"
-                ));
-            }
-            Ok(())
+        "block_dedup_hit" if uint("bytes") < uint("matched_blocks") => Err(format!(
+            "block_dedup_hit matching {} blocks but `bytes` {}",
+            uint("matched_blocks"),
+            uint("bytes")
+        )),
+        "block_saved" if uint("new_blocks") + uint("dedup_blocks") == 0 => {
+            Err("block_saved committing an empty chain".to_string())
         }
+        "block_saved" if (uint("new_blocks") == 0) != (uint("bytes_written") == 0) => Err(format!(
+            "block_saved wrote {} bytes over {} fresh chunks",
+            uint("bytes_written"),
+            uint("new_blocks")
+        )),
         _ => Ok(()),
     }
 }
 
 fn check_jsonl(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let mut seen: BTreeSet<String> = BTreeSet::new();
+    let summary = check_trace(path, &text)?;
+    println!("[trace_check] {summary}");
+    Ok(())
+}
+
+/// Checks a JSONL trace's text; `path` labels the messages. Returns the
+/// one-line summary on success.
+fn check_trace(path: &str, text: &str) -> Result<String, String> {
+    let mut seen: BTreeSet<&str> = BTreeSet::new();
     let mut lines = 0u64;
     let mut spans = SpanChecker::default();
     // Block-keyed gating: the `block_config` header (with its chunk
@@ -361,101 +348,77 @@ fn check_jsonl(path: &str) -> Result<(), String> {
         let Value::Object(pairs) = v else {
             return Err(format!("{path}:{}: line is not an object", i + 1));
         };
+        let schema = check_record(&pairs).map_err(|msg| format!("{path}:{}: {msg}", i + 1))?;
         let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone());
         match get("seq") {
             Some(Value::U64(n)) if n == i as u64 => {}
             other => return Err(format!("{path}:{}: bad seq {other:?}", i + 1)),
         }
-        for key in ["source", "category", "kind"] {
-            match get(key) {
-                Some(Value::Str(_)) => {}
-                _ => return Err(format!("{path}:{}: missing `{key}`", i + 1)),
+        let kind = schema.kind;
+        seen.insert(schema.category);
+        check_block_event(kind, &get, block_tokens.is_some())
+            .map_err(|msg| format!("{path}:{}: {msg}", i + 1))?;
+        match kind {
+            "block_config" => match get("block_tokens") {
+                Some(Value::U64(bt)) if bt > 0 => block_tokens = Some(bt),
+                other => {
+                    return Err(format!(
+                        "{path}:{}: block_config with bad `block_tokens` {other:?}",
+                        i + 1
+                    ))
+                }
+            },
+            "block_saved" => block_saves += 1,
+            "saved" => saves += 1,
+            SLO_HEADER => slo_seen = true,
+            _ => {}
+        }
+        if schema.category == "overload" && kind != SLO_HEADER {
+            if !slo_seen {
+                return Err(format!(
+                    "{path}:{}: `{kind}` before any `{SLO_HEADER}` header — SLO-free traces \
+                     must carry no overload events",
+                    i + 1
+                ));
             }
-        }
-        if let Some(Value::Str(cat)) = get("category") {
-            seen.insert(cat);
-        }
-        if let Some(Value::Str(kind)) = get("kind") {
-            check_block_event(&kind, &get, block_tokens.is_some())
-                .map_err(|msg| format!("{path}:{}: {msg}", i + 1))?;
-            match kind.as_str() {
-                "block_config" => match get("block_tokens") {
-                    Some(Value::U64(bt)) if bt > 0 => block_tokens = Some(bt),
-                    other => {
-                        return Err(format!(
-                            "{path}:{}: block_config with bad `block_tokens` {other:?}",
-                            i + 1
-                        ))
+            match kind {
+                "turn_shed" => sheds += 1,
+                "scale_down" => {
+                    scale_events += 1;
+                    if let Some(Value::U64(inst)) = get("instance") {
+                        retired_instances.insert(inst);
                     }
-                },
-                "block_saved" => block_saves += 1,
-                "saved" => saves += 1,
-                "slo_config" => slo_seen = true,
+                }
+                "scale_up" => {
+                    scale_events += 1;
+                    if let Some(Value::U64(inst)) = get("instance") {
+                        retired_instances.remove(&inst);
+                    }
+                }
                 _ => {}
             }
-            if OVERLOAD_KINDS.contains(&kind.as_str()) {
-                if !slo_seen {
+        } else if matches!(get("source"), Some(Value::Str(s)) if s == "engine")
+            && get("session").is_some()
+        {
+            // Session-scoped engine work on a retired instance means
+            // the scale-down stranded (or mis-routed) a turn.
+            if let Some(Value::U64(inst)) = get("instance") {
+                if retired_instances.contains(&inst) {
                     return Err(format!(
-                        "{path}:{}: `{kind}` before any `slo_config` header — SLO-free traces \
-                         must carry no overload events",
+                        "{path}:{}: `{kind}` attributed to instance {inst} after its \
+                         scale_down",
                         i + 1
                     ));
                 }
-                match kind.as_str() {
-                    "turn_shed" => sheds += 1,
-                    "scale_down" => {
-                        scale_events += 1;
-                        match get("instance") {
-                            Some(Value::U64(inst)) => {
-                                retired_instances.insert(inst);
-                            }
-                            other => {
-                                return Err(format!(
-                                    "{path}:{}: scale_down with bad `instance` {other:?}",
-                                    i + 1
-                                ))
-                            }
-                        }
-                    }
-                    "scale_up" => {
-                        scale_events += 1;
-                        match get("instance") {
-                            Some(Value::U64(inst)) => {
-                                retired_instances.remove(&inst);
-                            }
-                            other => {
-                                return Err(format!(
-                                    "{path}:{}: scale_up with bad `instance` {other:?}",
-                                    i + 1
-                                ))
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            } else if matches!(get("source"), Some(Value::Str(s)) if s == "engine")
-                && get("session").is_some()
-            {
-                // Session-scoped engine work on a retired instance means
-                // the scale-down stranded (or mis-routed) a turn.
-                if let Some(Value::U64(inst)) = get("instance") {
-                    if retired_instances.contains(&inst) {
-                        return Err(format!(
-                            "{path}:{}: `{kind}` attributed to instance {inst} after its \
-                             scale_down",
-                            i + 1
-                        ));
-                    }
-                }
             }
         }
-        if let (Some(Value::Str(kind)), Some(Value::U64(session))) = (get("kind"), get("session")) {
+        if let Some(Value::U64(session)) = get("session") {
             let at = match get("at") {
                 Some(Value::F64(x)) => x,
                 _ => 0.0,
             };
             spans
-                .on_event(&kind, session, at, &get)
+                .on_event(kind, session, at, &get)
                 .map_err(|msg| format!("{path}:{}: {msg}", i + 1))?;
         }
         lines += 1;
@@ -483,11 +446,10 @@ fn check_jsonl(path: &str) -> Result<(), String> {
     } else {
         String::new()
     };
-    println!(
-        "[trace_check] {path}: {lines} events, spans well-formed, {keying}, categories \
+    Ok(format!(
+        "{path}: {lines} events match the schema, spans well-formed, {keying}, categories \
          {seen:?}{overload}"
-    );
-    Ok(())
+    ))
 }
 
 fn check_chrome(path: &str) -> Result<(), String> {
@@ -532,13 +494,19 @@ fn check_metrics(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let v: Value =
         serde_json::from_str(&text).map_err(|e| format!("{path}: not valid JSON: {e:?}"))?;
-    let Value::Object(pairs) = v else {
+    let Value::Object(pairs) = &v else {
         return Err(format!("{path}: snapshot is not an object"));
     };
-    for key in ["turns_arrived", "hit_rate", "store_hits_dram", "tiers"] {
+    for key in ["counters", "hit_rate", "tiers"] {
         if !pairs.iter().any(|(k, _)| k == key) {
             return Err(format!("{path}: missing `{key}`"));
         }
+    }
+    if !matches!(
+        v.get("counters").and_then(|c| c.get("turns_arrived")),
+        Some(Value::U64(_))
+    ) {
+        return Err(format!("{path}: `counters` lacks `turns_arrived`"));
     }
     println!("[trace_check] {path}: snapshot ok ({} fields)", pairs.len());
     Ok(())
@@ -810,4 +778,159 @@ fn main() -> ExitCode {
     }
     println!("[trace_check] ok");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use engine::{ConsultClass, EngineEvent};
+    use sim::Time;
+    use store::{StoreEvent, TierId};
+    use telemetry::{to_jsonl, TraceEvent, TraceRecord};
+
+    fn t(secs: f64) -> Time {
+        Time::from_secs_f64(secs)
+    }
+
+    /// A small well-formed trace covering every required category: one
+    /// session's turn from arrival to retirement, a save and a demotion.
+    fn valid_trace() -> String {
+        let events = [
+            TraceEvent::Store(StoreEvent::TierConfig {
+                tier: TierId(0),
+                name: "dram",
+                capacity: 1_000,
+                at: t(0.0),
+            }),
+            TraceEvent::Engine(EngineEvent::turn_arrived(1, 0, t(0.0))),
+            TraceEvent::Engine(EngineEvent::consulted(
+                1,
+                ConsultClass::NoHistory,
+                0,
+                t(0.0),
+            )),
+            TraceEvent::Engine(EngineEvent::admitted(1, 0, 10, false, t(0.1))),
+            TraceEvent::Engine(EngineEvent::prefill_done(1, 0.1, t(0.2))),
+            TraceEvent::Engine(EngineEvent::retired(1, 20, t(0.5))),
+            TraceEvent::Store(StoreEvent::Saved {
+                session: 1,
+                bytes: 64,
+                tier: TierId(0),
+                at: t(0.5),
+            }),
+            TraceEvent::Store(StoreEvent::Demoted {
+                session: 1,
+                bytes: 64,
+                from: TierId(0),
+                to: TierId(1),
+                instance: None,
+                at: t(0.6),
+            }),
+        ];
+        let records: Vec<TraceRecord> = events
+            .into_iter()
+            .enumerate()
+            .map(|(i, ev)| TraceRecord {
+                seq: i as u64,
+                instance: None,
+                ev,
+            })
+            .collect();
+        to_jsonl(&records)
+    }
+
+    /// `valid_trace` with the first `from` on line `line` replaced.
+    fn edited(line: usize, from: &str, to: &str) -> String {
+        let trace = valid_trace();
+        let mut lines: Vec<String> = trace.lines().map(str::to_string).collect();
+        assert!(lines[line - 1].contains(from), "line {line} lacks {from}");
+        lines[line - 1] = lines[line - 1].replacen(from, to, 1);
+        lines.join("\n") + "\n"
+    }
+
+    fn rejection(text: &str) -> String {
+        check_trace("t.jsonl", text).expect_err("the trace must be rejected")
+    }
+
+    #[test]
+    fn a_well_formed_trace_passes() {
+        let summary = check_trace("t.jsonl", &valid_trace()).unwrap();
+        assert!(
+            summary.starts_with("t.jsonl: 8 events match the schema"),
+            "{summary}"
+        );
+    }
+
+    #[test]
+    fn schema_violations_are_rejected_naming_the_line() {
+        let cases = [
+            (
+                edited(5, "\"prefill_done\"", "\"prefill_finished\""),
+                "t.jsonl:5: unknown engine kind `prefill_finished`",
+            ),
+            (
+                edited(6, "\"category\":\"session\"", "\"category\":\"gpu\""),
+                "t.jsonl:6: `retired` has category `gpu`, the schema declares `session`",
+            ),
+            (
+                edited(6, ",\"new_hist\":20", ""),
+                "t.jsonl:6: `retired` is missing field `new_hist`",
+            ),
+            (
+                edited(4, "\"chunked\":false", "\"chunked\":0"),
+                "t.jsonl:4: `admitted` field `chunked` is integer, declared bool",
+            ),
+            (
+                edited(7, "\"bytes\":64", "\"bytes\":64,\"pinned\":true"),
+                "t.jsonl:7: `saved` carries undeclared field `pinned`",
+            ),
+            (
+                edited(8, "\"bytes\":64", "\"bytes\":64,\"session\":1"),
+                "t.jsonl:8: key `session` appears twice",
+            ),
+        ];
+        for (text, want) in cases {
+            let err = rejection(&text);
+            assert_eq!(err, want);
+        }
+    }
+
+    #[test]
+    fn semantic_checks_still_apply() {
+        // Lifecycle order: a first token for a session that never arrived.
+        let err = rejection(&edited(5, "\"session\":1", "\"session\":2"));
+        assert_eq!(err, "t.jsonl:5: prefill_done for session 2 in phase idle");
+        // Non-negative durations: admitted before it arrived.
+        let err = rejection(&edited(2, "\"at\":0.0", "\"at\":0.15"));
+        assert!(err.starts_with("t.jsonl:4: negative queue wait"), "{err}");
+        // Overload events need the `slo_config` header.
+        let shed = "{\"seq\":8,\"source\":\"engine\",\"category\":\"overload\",\
+                    \"kind\":\"scale_up\",\"instance\":1,\"n_alive\":2,\"at\":1.0}\n";
+        let err = rejection(&(valid_trace() + shed));
+        assert!(
+            err.starts_with("t.jsonl:9: `scale_up` before any `slo_config`"),
+            "{err}"
+        );
+        // Block events need the `block_config` header, and reclaim only
+        // unreferenced nodes.
+        let evicted = |refs: u64| {
+            format!(
+                "{{\"seq\":9,\"source\":\"store\",\"category\":\"tiering\",\
+                 \"kind\":\"block_evicted\",\"blocks\":1,\"bytes\":8,\"tier\":1,\
+                 \"refs\":{refs},\"at\":1.0}}\n"
+            )
+        };
+        let header = "{\"seq\":8,\"source\":\"store\",\"category\":\"gauge\",\
+                      \"kind\":\"block_config\",\"block_tokens\":16,\"at\":0.0}\n";
+        let err = rejection(&(valid_trace() + &evicted(0).replace("\"seq\":9", "\"seq\":8")));
+        assert!(
+            err.starts_with("t.jsonl:9: `block_evicted` before any `block_config`"),
+            "{err}"
+        );
+        let err = rejection(&(valid_trace() + header + &evicted(2)));
+        assert!(
+            err.starts_with("t.jsonl:10: block_evicted with `refs`"),
+            "{err}"
+        );
+    }
 }

@@ -129,10 +129,10 @@ fn row_from(
     ShareRow {
         scenario: label,
         keying: keying.label(),
-        fast_reuse_per_turn: if snap.turns_arrived == 0 {
+        fast_reuse_per_turn: if snap.counters.turns_arrived == 0 {
             0.0
         } else {
-            snap.hits_fast as f64 / snap.turns_arrived as f64
+            snap.counters.hits_fast as f64 / snap.counters.turns_arrived as f64
         },
         ttft_p50_ms: snap.ttft_p50_secs.unwrap_or(0.0) * 1e3,
         ttft_p95_ms: snap.ttft_p95_secs.unwrap_or(0.0) * 1e3,

@@ -177,7 +177,7 @@ fn row_from(
         ttft_p95_ms: snap.ttft_p95_secs.unwrap_or(0.0) * 1e3,
         sessions_done: sessions,
         tier_hits,
-        lookups: snap.hits_fast + snap.hits_slow + snap.misses,
+        lookups: snap.counters.hits_fast + snap.counters.hits_slow + snap.counters.misses,
     }
 }
 

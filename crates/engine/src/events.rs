@@ -9,16 +9,15 @@
 //!
 //! [`EventLog`] is the canonical observer: it collects events into a
 //! `Vec` for test assertions and offline analysis;
-//! [`run_traced`](crate::run_traced) wires it up. [`CoalescedLog`]
-//! collapses admission-retry floods (one [`EngineEvent::Deferred`] per
-//! retry) into counted [`LogEntry::DeferredRun`] records.
+//! [`run_traced`](crate::run_traced) wires it up.
 //!
 //! Observers that also want the [`StoreEvent`] stream (the store's
 //! placement decisions, drained through the engine so both streams share
 //! one causal order) opt in via
 //! [`EngineObserver::wants_store_events`].
 
-use serde::{Serialize, Value};
+use serde::Value;
+use sim::events::{EventField, FieldType};
 use sim::Time;
 use store::StoreEvent;
 
@@ -50,197 +49,213 @@ impl ConsultClass {
     }
 }
 
-/// One observable step of the serving pipeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EngineEvent {
-    /// A session's next turn arrived and was queued.
-    TurnArrived {
-        /// External session id.
-        session: u64,
-        /// Zero-based turn index within the session.
-        turn: usize,
-        /// Virtual arrival time.
-        at: Time,
-    },
-    /// Context overflow shrank a session's visible history.
-    Truncated {
-        /// External session id.
-        session: u64,
-        /// History length before truncation.
-        old_hist: u64,
-        /// History length after truncation.
-        new_hist: u64,
-        /// Virtual time of the owning turn's arrival.
-        at: Time,
-    },
-    /// The transfer stage consulted the store for a queue-head job.
-    Consulted {
-        /// External session id.
-        session: u64,
-        /// Classification of the access.
-        class: ConsultClass,
-        /// Tokens of history the engine will reuse.
-        reused: u64,
-        /// Virtual consultation time.
-        at: Time,
-    },
-    /// Admission deferred the queue-head job.
-    Deferred {
-        /// External session id.
-        session: u64,
-        /// Earliest time admission can be retried.
-        until: Time,
-        /// Virtual time of the attempt.
-        at: Time,
-    },
-    /// A job was admitted and its prefill issued.
-    Admitted {
-        /// External session id.
-        session: u64,
-        /// Tokens of reused history.
-        reused: u64,
-        /// Tokens prefilled on the GPU.
-        computed: u64,
-        /// Whether the prefill was split into chunks.
-        chunked: bool,
-        /// Virtual admission time.
-        at: Time,
-    },
-    /// Admission-time breakdown of the prefill the engine just issued:
-    /// how much KV-transfer time the turn needs, how much compute, and
-    /// how much of the transfer stays *visible* as a stall (§3.2.1's
-    /// layer-wise preload hides the rest under compute). The span
-    /// profiler derives overlap efficiency from this event alone.
-    PrefillTimed {
-        /// External session id.
-        session: u64,
-        /// KV transfer time the reuse requires, seconds (host→device
-        /// for DRAM-backed fast tiers, residual staging wait for
-        /// HBM-backed ones; zero when nothing is reused).
-        load_secs: f64,
-        /// Pure prefill compute time, seconds.
-        comp_secs: f64,
-        /// Transfer time left visible on the critical path, seconds
-        /// (the issued prefill lasts `comp_secs + stall_secs`).
-        stall_secs: f64,
-        /// Tier-stack index the reused KV was found in (`None` when the
-        /// turn reused nothing).
-        tier: Option<usize>,
-        /// Virtual admission time.
-        at: Time,
-    },
-    /// A prefill finished and the job joined the decode batch.
-    PrefillDone {
-        /// External session id.
-        session: u64,
-        /// Service TTFT in seconds (admission → first token).
-        ttft_secs: f64,
-        /// Virtual completion time.
-        at: Time,
-    },
-    /// A job finished decoding and retired.
-    Retired {
-        /// External session id.
-        session: u64,
-        /// The session's history length after this turn.
-        new_hist: u64,
-        /// Virtual retirement time.
-        at: Time,
-    },
-    /// Admission reserved HBM for a job's peak context (a gauge of the
-    /// live-KV budget, §2.4).
-    HbmReserved {
-        /// External session id of the admitted job.
-        session: u64,
-        /// Live-KV bytes reserved after this admission (batch + new job).
-        reserved_bytes: u64,
-        /// The HBM budget those reservations must fit in.
-        budget_bytes: u64,
-        /// Virtual admission time.
-        at: Time,
-    },
-    /// A serving instance crashed (scripted fault); its jobs are being
-    /// re-routed to the survivors.
-    InstanceCrashed {
-        /// The instance that went down.
-        instance: u32,
-        /// Virtual crash time.
-        at: Time,
-    },
-    /// A turn orphaned by an instance crash was re-queued elsewhere.
-    TurnRerouted {
-        /// External session id.
-        session: u64,
-        /// The dead instance the turn was queued (or running) on.
-        from: u32,
-        /// The surviving instance it was re-queued on.
-        to: u32,
-        /// Virtual re-route time.
-        at: Time,
-    },
-    /// A session's cached KV could not be served (read failure or
-    /// corruption); the turn degrades to a full re-prefill.
-    DegradedRecompute {
-        /// External session id.
-        session: u64,
-        /// Why the cache path failed (`"read_failed"`, `"corrupted"`,
-        /// `"overload"` when the degradation ladder forced it).
-        reason: &'static str,
-        /// Virtual detection time.
-        at: Time,
-    },
-    /// Header announcing that an SLO overload policy governs this run.
-    /// Emitted once at start; every other `overload`-category event is
-    /// gated on it (`trace_check` enforces both directions).
-    SloConfig {
-        /// Default TTFT target in seconds.
-        ttft_target_secs: f64,
-        /// Bounded per-instance inbox capacity (waiting jobs).
-        inbox_capacity: u64,
-        /// Virtual start time.
-        at: Time,
-    },
-    /// An arriving turn was shed with a typed rejection instead of being
-    /// queued (inbox overflow or the ladder's shed rung). Terminal for
-    /// the session: no job is created and later turns never arrive.
-    TurnShed {
-        /// External session id.
-        session: u64,
-        /// Zero-based turn index within the session.
-        turn: usize,
-        /// Why it was shed (`"inbox_full"`, `"overload_shed"`).
-        reason: &'static str,
-        /// Virtual arrival time.
-        at: Time,
-    },
-    /// The degradation ladder moved one rung.
-    OverloadLevelChanged {
-        /// The rung it left (label).
-        from: &'static str,
-        /// The rung it entered (label).
-        to: &'static str,
-        /// Virtual decision time.
-        at: Time,
-    },
-    /// The autoscaler brought an instance into service.
-    ScaleUp {
-        /// The instance now serving.
-        instance: u32,
-        /// Alive instances after the action.
-        n_alive: u32,
-        /// Virtual decision time.
-        at: Time,
-    },
-    /// The autoscaler retired an instance; its queued and in-flight
-    /// turns were re-routed (each emits [`EngineEvent::TurnRerouted`]).
-    ScaleDown {
-        /// The instance retired.
-        instance: u32,
-        /// Alive instances after the action.
-        n_alive: u32,
-        /// Virtual decision time.
-        at: Time,
-    },
+impl EventField for ConsultClass {
+    const TYPE: FieldType = FieldType::String;
+    fn encode(&self) -> Option<Value> {
+        Some(Value::Str(self.label().to_string()))
+    }
+}
+
+sim::event_table! {
+    /// One observable step of the serving pipeline.
+    ///
+    /// Categories: `session` (turn lifecycle), `sched` (queueing and
+    /// admission decisions), `gpu` (execution and HBM effects), `fault`
+    /// (injected failures and their recovery) or `overload` (SLO-driven
+    /// admission control, degradation and autoscaling). The encoding has
+    /// the same shape as the store events', so both streams merge into
+    /// one JSONL trace.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum EngineEvent {
+        /// A session's next turn arrived and was queued.
+        TurnArrived: "turn_arrived" in session {
+            /// External session id.
+            session: u64,
+            /// Zero-based turn index within the session.
+            turn: usize,
+            /// Virtual arrival time.
+            at: Time,
+        },
+        /// Context overflow shrank a session's visible history.
+        Truncated: "truncated" in session {
+            /// External session id.
+            session: u64,
+            /// History length before truncation.
+            old_hist: u64,
+            /// History length after truncation.
+            new_hist: u64,
+            /// Virtual time of the owning turn's arrival.
+            at: Time,
+        },
+        /// The transfer stage consulted the store for a queue-head job.
+        Consulted: "consulted" in sched {
+            /// External session id.
+            session: u64,
+            /// Classification of the access.
+            class: ConsultClass,
+            /// Tokens of history the engine will reuse.
+            reused: u64,
+            /// Virtual consultation time.
+            at: Time,
+        },
+        /// Admission deferred the queue-head job.
+        Deferred: "deferred" in sched {
+            /// External session id.
+            session: u64,
+            /// Earliest time admission can be retried.
+            until: Time,
+            /// Virtual time of the attempt.
+            at: Time,
+        },
+        /// A job was admitted and its prefill issued.
+        Admitted: "admitted" in sched {
+            /// External session id.
+            session: u64,
+            /// Tokens of reused history.
+            reused: u64,
+            /// Tokens prefilled on the GPU.
+            computed: u64,
+            /// Whether the prefill was split into chunks.
+            chunked: bool,
+            /// Virtual admission time.
+            at: Time,
+        },
+        /// Admission-time breakdown of the prefill the engine just issued:
+        /// how much KV-transfer time the turn needs, how much compute, and
+        /// how much of the transfer stays *visible* as a stall (§3.2.1's
+        /// layer-wise preload hides the rest under compute). The span
+        /// profiler derives overlap efficiency from this event alone.
+        PrefillTimed: "prefill_timed" in gpu {
+            /// External session id.
+            session: u64,
+            /// KV transfer time the reuse requires, seconds (host→device
+            /// for DRAM-backed fast tiers, residual staging wait for
+            /// HBM-backed ones; zero when nothing is reused).
+            load_secs: f64,
+            /// Pure prefill compute time, seconds.
+            comp_secs: f64,
+            /// Transfer time left visible on the critical path, seconds
+            /// (the issued prefill lasts `comp_secs + stall_secs`).
+            stall_secs: f64,
+            /// Tier-stack index the reused KV was found in (`None`, and
+            /// omitted from the encoding, when the turn reused nothing).
+            tier: Option<usize>,
+            /// Virtual admission time.
+            at: Time,
+        },
+        /// A prefill finished and the job joined the decode batch.
+        PrefillDone: "prefill_done" in gpu {
+            /// External session id.
+            session: u64,
+            /// Service TTFT in seconds (admission → first token).
+            ttft_secs: f64,
+            /// Virtual completion time.
+            at: Time,
+        },
+        /// A job finished decoding and retired.
+        Retired: "retired" in session {
+            /// External session id.
+            session: u64,
+            /// The session's history length after this turn.
+            new_hist: u64,
+            /// Virtual retirement time.
+            at: Time,
+        },
+        /// Admission reserved HBM for a job's peak context (a gauge of the
+        /// live-KV budget, §2.4).
+        HbmReserved: "hbm_reserved" in gpu {
+            /// External session id of the admitted job.
+            session: u64,
+            /// Live-KV bytes reserved after this admission (batch + new job).
+            reserved_bytes: u64,
+            /// The HBM budget those reservations must fit in.
+            budget_bytes: u64,
+            /// Virtual admission time.
+            at: Time,
+        },
+        /// A serving instance crashed (scripted fault); its jobs are being
+        /// re-routed to the survivors.
+        InstanceCrashed: "instance_crashed" in fault {
+            /// The instance that went down.
+            instance: u32,
+            /// Virtual crash time.
+            at: Time,
+        },
+        /// A turn orphaned by an instance crash was re-queued elsewhere.
+        TurnRerouted: "turn_rerouted" in fault {
+            /// External session id.
+            session: u64,
+            /// The dead instance the turn was queued (or running) on.
+            from: u32,
+            /// The surviving instance it was re-queued on.
+            to: u32,
+            /// Virtual re-route time.
+            at: Time,
+        },
+        /// A session's cached KV could not be served (read failure or
+        /// corruption); the turn degrades to a full re-prefill.
+        DegradedRecompute: "degraded_recompute" in fault {
+            /// External session id.
+            session: u64,
+            /// Why the cache path failed (`"read_failed"`, `"corrupted"`,
+            /// `"overload"` when the degradation ladder forced it).
+            reason: &'static str,
+            /// Virtual detection time.
+            at: Time,
+        },
+        /// Header announcing that an SLO overload policy governs this run.
+        /// Emitted once at start; every other `overload`-category event is
+        /// gated on it (`trace_check` enforces both directions).
+        SloConfig: "slo_config" in overload {
+            /// Default TTFT target in seconds.
+            ttft_target_secs: f64,
+            /// Bounded per-instance inbox capacity (waiting jobs).
+            inbox_capacity: u64,
+            /// Virtual start time.
+            at: Time,
+        },
+        /// An arriving turn was shed with a typed rejection instead of being
+        /// queued (inbox overflow or the ladder's shed rung). Terminal for
+        /// the session: no job is created and later turns never arrive.
+        TurnShed: "turn_shed" in overload {
+            /// External session id.
+            session: u64,
+            /// Zero-based turn index within the session.
+            turn: usize,
+            /// Why it was shed (`"inbox_full"`, `"overload_shed"`).
+            reason: &'static str,
+            /// Virtual arrival time.
+            at: Time,
+        },
+        /// The degradation ladder moved one rung.
+        OverloadLevelChanged: "overload_level" in overload {
+            /// The rung it left (label).
+            from: &'static str,
+            /// The rung it entered (label).
+            to: &'static str,
+            /// Virtual decision time.
+            at: Time,
+        },
+        /// The autoscaler brought an instance into service.
+        ScaleUp: "scale_up" in overload {
+            /// The instance now serving.
+            instance: u32,
+            /// Alive instances after the action.
+            n_alive: u32,
+            /// Virtual decision time.
+            at: Time,
+        },
+        /// The autoscaler retired an instance; its queued and in-flight
+        /// turns were re-routed (each emits [`EngineEvent::TurnRerouted`]).
+        ScaleDown: "scale_down" in overload {
+            /// The instance retired.
+            instance: u32,
+            /// Alive instances after the action.
+            n_alive: u32,
+            /// Virtual decision time.
+            at: Time,
+        },
+    }
 }
 
 impl EngineEvent {
@@ -397,302 +412,6 @@ impl EngineEvent {
             at,
         }
     }
-
-    /// The external session id the event concerns; `None` for
-    /// instance-scoped events ([`EngineEvent::InstanceCrashed`]) and
-    /// cluster-scoped overload decisions.
-    pub fn session(&self) -> Option<u64> {
-        match *self {
-            EngineEvent::TurnArrived { session, .. }
-            | EngineEvent::Truncated { session, .. }
-            | EngineEvent::Consulted { session, .. }
-            | EngineEvent::Deferred { session, .. }
-            | EngineEvent::Admitted { session, .. }
-            | EngineEvent::PrefillTimed { session, .. }
-            | EngineEvent::PrefillDone { session, .. }
-            | EngineEvent::Retired { session, .. }
-            | EngineEvent::HbmReserved { session, .. }
-            | EngineEvent::TurnRerouted { session, .. }
-            | EngineEvent::TurnShed { session, .. }
-            | EngineEvent::DegradedRecompute { session, .. } => Some(session),
-            EngineEvent::InstanceCrashed { .. }
-            | EngineEvent::SloConfig { .. }
-            | EngineEvent::OverloadLevelChanged { .. }
-            | EngineEvent::ScaleUp { .. }
-            | EngineEvent::ScaleDown { .. } => None,
-        }
-    }
-
-    /// Snake-case name of the variant, used as the `kind` field in
-    /// serialized traces.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            EngineEvent::TurnArrived { .. } => "turn_arrived",
-            EngineEvent::Truncated { .. } => "truncated",
-            EngineEvent::Consulted { .. } => "consulted",
-            EngineEvent::Deferred { .. } => "deferred",
-            EngineEvent::Admitted { .. } => "admitted",
-            EngineEvent::PrefillTimed { .. } => "prefill_timed",
-            EngineEvent::PrefillDone { .. } => "prefill_done",
-            EngineEvent::Retired { .. } => "retired",
-            EngineEvent::HbmReserved { .. } => "hbm_reserved",
-            EngineEvent::InstanceCrashed { .. } => "instance_crashed",
-            EngineEvent::TurnRerouted { .. } => "turn_rerouted",
-            EngineEvent::DegradedRecompute { .. } => "degraded_recompute",
-            EngineEvent::SloConfig { .. } => "slo_config",
-            EngineEvent::TurnShed { .. } => "turn_shed",
-            EngineEvent::OverloadLevelChanged { .. } => "overload_level",
-            EngineEvent::ScaleUp { .. } => "scale_up",
-            EngineEvent::ScaleDown { .. } => "scale_down",
-        }
-    }
-
-    /// Coarse category: `session` (turn lifecycle), `sched` (queueing and
-    /// admission decisions), `gpu` (execution and HBM effects), `fault`
-    /// (injected failures and their recovery) or `overload` (SLO-driven
-    /// admission control, degradation and autoscaling).
-    pub fn category(&self) -> &'static str {
-        match self {
-            EngineEvent::TurnArrived { .. }
-            | EngineEvent::Truncated { .. }
-            | EngineEvent::Retired { .. } => "session",
-            EngineEvent::Consulted { .. }
-            | EngineEvent::Deferred { .. }
-            | EngineEvent::Admitted { .. } => "sched",
-            EngineEvent::PrefillTimed { .. }
-            | EngineEvent::PrefillDone { .. }
-            | EngineEvent::HbmReserved { .. } => "gpu",
-            EngineEvent::InstanceCrashed { .. }
-            | EngineEvent::TurnRerouted { .. }
-            | EngineEvent::DegradedRecompute { .. } => "fault",
-            EngineEvent::SloConfig { .. }
-            | EngineEvent::TurnShed { .. }
-            | EngineEvent::OverloadLevelChanged { .. }
-            | EngineEvent::ScaleUp { .. }
-            | EngineEvent::ScaleDown { .. } => "overload",
-        }
-    }
-
-    /// The event's virtual timestamp.
-    pub fn at(&self) -> Time {
-        match *self {
-            EngineEvent::TurnArrived { at, .. }
-            | EngineEvent::Truncated { at, .. }
-            | EngineEvent::Consulted { at, .. }
-            | EngineEvent::Deferred { at, .. }
-            | EngineEvent::Admitted { at, .. }
-            | EngineEvent::PrefillTimed { at, .. }
-            | EngineEvent::PrefillDone { at, .. }
-            | EngineEvent::Retired { at, .. }
-            | EngineEvent::HbmReserved { at, .. }
-            | EngineEvent::InstanceCrashed { at, .. }
-            | EngineEvent::TurnRerouted { at, .. }
-            | EngineEvent::DegradedRecompute { at, .. }
-            | EngineEvent::SloConfig { at, .. }
-            | EngineEvent::TurnShed { at, .. }
-            | EngineEvent::OverloadLevelChanged { at, .. }
-            | EngineEvent::ScaleUp { at, .. }
-            | EngineEvent::ScaleDown { at, .. } => at,
-        }
-    }
-}
-
-/// Builds the serialized payload fields shared by most variants.
-fn fields(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn secs(t: Time) -> Value {
-    Value::F64(t.as_secs_f64())
-}
-
-impl Serialize for EngineEvent {
-    /// Serializes as a tagged object: `kind` first, payload fields next,
-    /// the timestamp (`at`, fractional seconds) last — the same shape the
-    /// store events use, so both streams merge into one JSONL trace.
-    fn to_value(&self) -> Value {
-        let kind = Value::Str(self.kind().to_string());
-        match *self {
-            EngineEvent::TurnArrived { session, turn, at } => fields(vec![
-                ("kind", kind),
-                ("session", Value::U64(session)),
-                ("turn", Value::U64(turn as u64)),
-                ("at", secs(at)),
-            ]),
-            EngineEvent::Truncated {
-                session,
-                old_hist,
-                new_hist,
-                at,
-            } => fields(vec![
-                ("kind", kind),
-                ("session", Value::U64(session)),
-                ("old_hist", Value::U64(old_hist)),
-                ("new_hist", Value::U64(new_hist)),
-                ("at", secs(at)),
-            ]),
-            EngineEvent::Consulted {
-                session,
-                class,
-                reused,
-                at,
-            } => fields(vec![
-                ("kind", kind),
-                ("session", Value::U64(session)),
-                ("class", Value::Str(class.label().to_string())),
-                ("reused", Value::U64(reused)),
-                ("at", secs(at)),
-            ]),
-            EngineEvent::Deferred { session, until, at } => fields(vec![
-                ("kind", kind),
-                ("session", Value::U64(session)),
-                ("until", secs(until)),
-                ("at", secs(at)),
-            ]),
-            EngineEvent::Admitted {
-                session,
-                reused,
-                computed,
-                chunked,
-                at,
-            } => fields(vec![
-                ("kind", kind),
-                ("session", Value::U64(session)),
-                ("reused", Value::U64(reused)),
-                ("computed", Value::U64(computed)),
-                ("chunked", Value::Bool(chunked)),
-                ("at", secs(at)),
-            ]),
-            EngineEvent::PrefillTimed {
-                session,
-                load_secs,
-                comp_secs,
-                stall_secs,
-                tier,
-                at,
-            } => {
-                let mut f = vec![
-                    ("kind", kind),
-                    ("session", Value::U64(session)),
-                    ("load_secs", Value::F64(load_secs)),
-                    ("comp_secs", Value::F64(comp_secs)),
-                    ("stall_secs", Value::F64(stall_secs)),
-                ];
-                if let Some(t) = tier {
-                    f.push(("tier", Value::U64(t as u64)));
-                }
-                f.push(("at", secs(at)));
-                fields(f)
-            }
-            EngineEvent::PrefillDone {
-                session,
-                ttft_secs,
-                at,
-            } => fields(vec![
-                ("kind", kind),
-                ("session", Value::U64(session)),
-                ("ttft_secs", Value::F64(ttft_secs)),
-                ("at", secs(at)),
-            ]),
-            EngineEvent::Retired {
-                session,
-                new_hist,
-                at,
-            } => fields(vec![
-                ("kind", kind),
-                ("session", Value::U64(session)),
-                ("new_hist", Value::U64(new_hist)),
-                ("at", secs(at)),
-            ]),
-            EngineEvent::HbmReserved {
-                session,
-                reserved_bytes,
-                budget_bytes,
-                at,
-            } => fields(vec![
-                ("kind", kind),
-                ("session", Value::U64(session)),
-                ("reserved_bytes", Value::U64(reserved_bytes)),
-                ("budget_bytes", Value::U64(budget_bytes)),
-                ("at", secs(at)),
-            ]),
-            EngineEvent::InstanceCrashed { instance, at } => fields(vec![
-                ("kind", kind),
-                ("instance", Value::U64(instance as u64)),
-                ("at", secs(at)),
-            ]),
-            EngineEvent::TurnRerouted {
-                session,
-                from,
-                to,
-                at,
-            } => fields(vec![
-                ("kind", kind),
-                ("session", Value::U64(session)),
-                ("from", Value::U64(from as u64)),
-                ("to", Value::U64(to as u64)),
-                ("at", secs(at)),
-            ]),
-            EngineEvent::DegradedRecompute {
-                session,
-                reason,
-                at,
-            } => fields(vec![
-                ("kind", kind),
-                ("session", Value::U64(session)),
-                ("reason", Value::Str(reason.to_string())),
-                ("at", secs(at)),
-            ]),
-            EngineEvent::SloConfig {
-                ttft_target_secs,
-                inbox_capacity,
-                at,
-            } => fields(vec![
-                ("kind", kind),
-                ("ttft_target_secs", Value::F64(ttft_target_secs)),
-                ("inbox_capacity", Value::U64(inbox_capacity)),
-                ("at", secs(at)),
-            ]),
-            EngineEvent::TurnShed {
-                session,
-                turn,
-                reason,
-                at,
-            } => fields(vec![
-                ("kind", kind),
-                ("session", Value::U64(session)),
-                ("turn", Value::U64(turn as u64)),
-                ("reason", Value::Str(reason.to_string())),
-                ("at", secs(at)),
-            ]),
-            EngineEvent::OverloadLevelChanged { from, to, at } => fields(vec![
-                ("kind", kind),
-                ("from", Value::Str(from.to_string())),
-                ("to", Value::Str(to.to_string())),
-                ("at", secs(at)),
-            ]),
-            EngineEvent::ScaleUp {
-                instance,
-                n_alive,
-                at,
-            } => fields(vec![
-                ("kind", kind),
-                ("instance", Value::U64(instance as u64)),
-                ("n_alive", Value::U64(n_alive as u64)),
-                ("at", secs(at)),
-            ]),
-            EngineEvent::ScaleDown {
-                instance,
-                n_alive,
-                at,
-            } => fields(vec![
-                ("kind", kind),
-                ("instance", Value::U64(instance as u64)),
-                ("n_alive", Value::U64(n_alive as u64)),
-                ("at", secs(at)),
-            ]),
-        }
-    }
 }
 
 /// A sink for [`EngineEvent`]s (and, opted into, [`StoreEvent`]s).
@@ -767,101 +486,6 @@ impl EngineObserver for EventLog {
     }
 }
 
-/// One record of a [`CoalescedLog`]: either a single event or a run of
-/// consecutive admission deferrals for the same session collapsed into
-/// a count plus its first/last timestamps.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LogEntry {
-    /// A single (non-coalesced) event.
-    Event(EngineEvent),
-    /// `count` consecutive [`EngineEvent::Deferred`] events for
-    /// `session`, coalesced.
-    DeferredRun {
-        /// External session id whose admission kept being deferred.
-        session: u64,
-        /// How many deferrals the run collapsed.
-        count: u64,
-        /// Timestamp of the first deferral in the run.
-        first_at: Time,
-        /// Timestamp of the last deferral in the run.
-        last_at: Time,
-        /// The last deferral's retry time.
-        until: Time,
-    },
-}
-
-/// An [`EventLog`] variant that coalesces admission-retry floods.
-///
-/// A long admission stall emits one [`EngineEvent::Deferred`] per retry;
-/// collecting those verbatim floods the log (and anything aggregating
-/// it). This observer collapses consecutive deferrals of the same
-/// session into one counted [`LogEntry::DeferredRun`]; every other event
-/// passes through unchanged. The telemetry crate's `MetricsHub` uses one
-/// internally.
-#[derive(Debug, Clone, Default)]
-pub struct CoalescedLog {
-    entries: Vec<LogEntry>,
-}
-
-impl CoalescedLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        CoalescedLog::default()
-    }
-
-    /// All collected entries, in commit order.
-    pub fn entries(&self) -> &[LogEntry] {
-        &self.entries
-    }
-
-    /// Consumes the log, returning the collected entries.
-    pub fn into_entries(self) -> Vec<LogEntry> {
-        self.entries
-    }
-
-    /// Total deferrals observed (the sum over every coalesced run).
-    pub fn deferred_total(&self) -> u64 {
-        self.entries
-            .iter()
-            .map(|e| match e {
-                LogEntry::DeferredRun { count, .. } => *count,
-                LogEntry::Event(_) => 0,
-            })
-            .sum()
-    }
-}
-
-impl EngineObserver for CoalescedLog {
-    fn on_event(&mut self, ev: EngineEvent) {
-        if let EngineEvent::Deferred { session, until, at } = ev {
-            if let Some(LogEntry::DeferredRun {
-                session: s,
-                count,
-                last_at,
-                until: u,
-                ..
-            }) = self.entries.last_mut()
-            {
-                if *s == session {
-                    *count += 1;
-                    *last_at = at;
-                    *u = until;
-                    return;
-                }
-            }
-            self.entries.push(LogEntry::DeferredRun {
-                session,
-                count: 1,
-                first_at: at,
-                last_at: at,
-                until,
-            });
-        } else {
-            self.entries.push(LogEntry::Event(ev));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -899,52 +523,6 @@ mod tests {
         assert_eq!(ev.kind(), "consulted");
         assert_eq!(ev.category(), "sched");
         assert_eq!(ev.at(), Time::from_secs_f64(2.0));
-    }
-
-    #[test]
-    fn coalesced_log_collapses_deferral_runs() {
-        let mut log = CoalescedLog::new();
-        log.on_event(EngineEvent::turn_arrived(1, 0, Time::ZERO));
-        for ms in [10u64, 20, 30] {
-            log.on_event(EngineEvent::deferred(
-                1,
-                Time::from_millis(ms + 5),
-                Time::from_millis(ms),
-            ));
-        }
-        // A different session breaks the run.
-        log.on_event(EngineEvent::deferred(
-            2,
-            Time::from_millis(41),
-            Time::from_millis(40),
-        ));
-        log.on_event(EngineEvent::admitted(
-            1,
-            0,
-            100,
-            false,
-            Time::from_millis(50),
-        ));
-        assert_eq!(log.entries().len(), 4);
-        assert!(matches!(
-            log.entries()[1],
-            LogEntry::DeferredRun {
-                session: 1,
-                count: 3,
-                first_at,
-                last_at,
-                ..
-            } if first_at == Time::from_millis(10) && last_at == Time::from_millis(30)
-        ));
-        assert!(matches!(
-            log.entries()[2],
-            LogEntry::DeferredRun {
-                session: 2,
-                count: 1,
-                ..
-            }
-        ));
-        assert_eq!(log.deferred_total(), 4);
     }
 
     #[test]

@@ -53,9 +53,7 @@ pub mod truncate;
 
 pub use cluster::{ClusterConfig, ClusterReport, ClusterSim, Ev, FaultReport, OverloadReport};
 pub use config::{EngineConfig, Medium, Mode};
-pub use events::{
-    CoalescedLog, ConsultClass, EngineEvent, EngineObserver, EventLog, LogEntry, NullObserver,
-};
+pub use events::{ConsultClass, EngineEvent, EngineObserver, EventLog, NullObserver};
 pub use instance::{EngineInstance, InstanceReport};
 pub use report::RunReport;
 pub use router::{InstanceLoad, LeastLoaded, RouterKind, RouterPolicy, SessionAffinity};

@@ -14,6 +14,9 @@
 //!   disk tiers.
 //! - [`SimRng`]: a seeded random source with the distributions the workload
 //!   generator needs (exponential, log-normal, Zipf, categorical).
+//! - [`event_table!`]: declares a trace event enum once, one row per
+//!   variant, and generates its accessors, JSON encoding and schema
+//!   ([`events`]).
 //!
 //! All randomness flows from a single `u64` seed and event ordering is
 //! total (time, insertion sequence), so simulations are bit-reproducible.
@@ -45,6 +48,7 @@
 //! assert_eq!(end.as_secs_f64(), 2.0);
 //! ```
 
+pub mod events;
 pub mod fault;
 mod link;
 mod pool;

@@ -508,9 +508,9 @@ pub fn windows_to_jsonl(
             .map(|i| {
                 obj(vec![
                     ("instance", Value::U64(u64::from(i.instance))),
-                    ("turns_arrived", Value::U64(i.turns_arrived)),
-                    ("admitted", Value::U64(i.admitted)),
-                    ("retired", Value::U64(i.retired)),
+                    ("turns_arrived", Value::U64(i.counters.turns_arrived)),
+                    ("admitted", Value::U64(i.counters.admitted)),
+                    ("retired", Value::U64(i.counters.retired)),
                 ])
             })
             .collect();
@@ -599,88 +599,85 @@ pub fn to_prometheus(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     let plain = |v: f64| vec![(String::new(), v)];
 
+    let c = &snap.counters;
     let counters: [(&str, &str, u64); 18] = [
         (
             "turns_arrived",
             "Turns that arrived and were queued.",
-            snap.turns_arrived,
+            c.turns_arrived,
         ),
         (
             "turns_retired",
             "Jobs that finished decoding and retired.",
-            snap.retired,
+            c.retired,
         ),
         (
             "truncations",
             "Context-overflow truncations.",
-            snap.truncations,
+            c.truncations,
         ),
         (
             "hits_fast",
             "Consultations classified fast-tier hits.",
-            snap.hits_fast,
+            c.hits_fast,
         ),
         (
             "hits_slow",
             "Consultations classified slow-tier hits.",
-            snap.hits_slow,
+            c.hits_slow,
         ),
-        ("misses", "Consultations classified misses.", snap.misses),
+        ("misses", "Consultations classified misses.", c.misses),
         (
             "store_misses",
             "Store lookups that found nothing cached.",
-            snap.store_misses,
+            c.store_misses,
         ),
-        (
-            "saves",
-            "Sessions saved or updated in the store.",
-            snap.saves,
-        ),
+        ("saves", "Sessions saved or updated in the store.", c.saves),
         (
             "save_rejections",
             "Saves rejected for capacity.",
-            snap.save_rejections,
+            c.save_rejections,
         ),
         (
             "prefetch_promotions",
             "Look-ahead prefetch promotions.",
-            snap.prefetch_promotions,
+            c.prefetch_promotions,
         ),
         (
             "demand_promotions",
             "Demand-fetch promotions.",
-            snap.demand_promotions,
+            c.demand_promotions,
         ),
         (
             "demotions",
             "One-hop demotions to slower tiers.",
-            snap.demotions,
+            c.demotions,
         ),
-        ("evictions", "Bottom-tier evictions.", snap.evictions),
+        ("evictions", "Bottom-tier evictions.", c.evictions),
         (
             "write_stalls",
             "Admissions stalled on the HBM write buffer.",
-            snap.write_stalls,
+            c.write_stalls,
         ),
         (
             "read_retries",
             "Injected read errors that were retried.",
-            snap.read_retries,
+            c.read_retries,
         ),
         (
             "write_retries",
             "Injected write errors that were retried.",
-            snap.write_retries,
+            c.write_retries,
         ),
         (
             "instance_crashes",
             "Scripted instance crashes.",
-            snap.instance_crashes,
+            c.instance_crashes,
         ),
         (
             "turns_rerouted",
             "Turns re-queued after a crash.",
-            snap.turns_rerouted,
+            c.turns_rerouted,
         ),
     ];
     for (name, help, v) in counters {

@@ -11,10 +11,12 @@
 
 use std::collections::HashMap;
 
-use engine::{CoalescedLog, ConsultClass, EngineEvent, EngineObserver};
-use metrics::{Counter, Histogram, TimeSeries};
+use engine::{EngineEvent, EngineObserver};
+use metrics::{Histogram, TimeSeries};
 use serde::Serialize;
 use store::{FetchKind, StoreEvent, TierId};
+
+use crate::counters::Counters;
 
 /// Bucket width of the occupancy gauge curves, seconds.
 const GAUGE_BUCKET_SECS: f64 = 1.0;
@@ -27,11 +29,12 @@ const GAUGE_BUCKET_SECS: f64 = 1.0;
 /// with a hub attached produces a byte-identical `RunReport`.
 #[derive(Debug, Clone)]
 pub struct MetricsHub {
-    // Engine-stream aggregates.
-    turns_arrived: Counter,
-    hits_fast: Counter,
-    hits_slow: Counter,
-    misses: Counter,
+    /// The run's event tallies (the shared [`Counters`] fold).
+    counters: Counters,
+    /// Runs of consecutive deferrals of one session, among deferrals.
+    deferred_runs: u64,
+    /// The session the current deferral run belongs to.
+    last_deferred: Option<u64>,
     ttft: Histogram,
     queue_wait: Histogram,
     /// Visible fetch-stall share of each issued prefill, seconds.
@@ -46,87 +49,29 @@ pub struct MetricsHub {
     prefetch_latency: Histogram,
     /// Promotion time of each session's in-flight prefetch.
     prefetch_starts: HashMap<u64, f64>,
-    truncations: Counter,
-    retired: Counter,
     hbm_reserved: TimeSeries,
-    /// Admission retries coalesced per session run (satellite fix for
-    /// the one-`Deferred`-per-retry flood).
-    deferrals: CoalescedLog,
     /// Arrival time of each session's in-flight turn, for queue waits.
     arrivals: HashMap<u64, f64>,
-    // Store-stream aggregates, sliced per tier-stack index. The slices
-    // grow on demand as events reference deeper tiers; names come from
-    // the `tier_config` records a tracing store emits up front (falling
-    // back to the `t{i}` index label).
+    // Store-stream slices per tier-stack index. They grow on demand as
+    // events reference deeper tiers; names come from the `tier_config`
+    // records a tracing store emits up front (falling back to the `t{i}`
+    // index label).
     tier_names: Vec<Option<&'static str>>,
-    store_hits_by_tier: Vec<Counter>,
+    store_hits_by_tier: Vec<u64>,
     occupancy_by_tier: Vec<TimeSeries>,
-    store_misses: Counter,
-    saves: Counter,
-    save_rejections: Counter,
-    prefetch_promotions: Counter,
-    demand_promotions: Counter,
-    demotions: Counter,
-    evictions: Counter,
-    drops: Counter,
-    expirations: Counter,
-    write_stalls: Counter,
-    // Block-keyed store aggregates (all-zero under per-session keying).
-    block_dedup_hits: Counter,
-    blocks_matched: Counter,
-    blocks_deduped: Counter,
-    blocks_written: Counter,
-    dedup_bytes_saved: Counter,
-    dedup_bytes_written: Counter,
-    block_divergences: Counter,
-    block_evictions: Counter,
-    // Fault-stream aggregates (all-zero without a fault plan).
-    read_retries: Counter,
-    read_failures: Counter,
-    write_retries: Counter,
-    write_failures: Counter,
-    corruptions_detected: Counter,
-    recompute_fallbacks: Counter,
-    instance_crashes: Counter,
-    turns_rerouted: Counter,
-    // Overload-stream aggregates (all-zero without an SLO policy).
-    turns_shed: Counter,
-    overload_transitions: Counter,
-    scale_ups: Counter,
-    scale_downs: Counter,
-    // Per-instance slices of the engine stream, grown on demand as the
-    // cluster's instance-tagged observer hooks report new instance ids.
+    // Per-instance slices, grown on demand as the cluster's
+    // instance-tagged observer hooks report new instance ids.
     per_instance: Vec<InstanceAgg>,
 }
 
-/// Per-instance slice of the engine-stream aggregates.
-#[derive(Debug, Clone)]
+/// One instance's slice: the events attributed to it, folded the same
+/// way as the run's.
+#[derive(Debug, Clone, Default)]
 struct InstanceAgg {
-    turns_arrived: Counter,
-    hits_fast: Counter,
-    hits_slow: Counter,
-    misses: Counter,
-    retired: Counter,
-    read_retries: Counter,
-    write_retries: Counter,
-    recompute_fallbacks: Counter,
-    turns_rerouted_away: Counter,
-}
-
-impl InstanceAgg {
-    fn new() -> Self {
-        InstanceAgg {
-            turns_arrived: Counter::new(),
-            hits_fast: Counter::new(),
-            hits_slow: Counter::new(),
-            misses: Counter::new(),
-            retired: Counter::new(),
-            read_retries: Counter::new(),
-            write_retries: Counter::new(),
-            recompute_fallbacks: Counter::new(),
-            turns_rerouted_away: Counter::new(),
-        }
-    }
+    counters: Counters,
+    /// Turns this instance lost to reroutes (billed to the instance the
+    /// turn left, not the survivor that emitted the event).
+    turns_rerouted_away: u64,
 }
 
 impl Default for MetricsHub {
@@ -139,10 +84,9 @@ impl MetricsHub {
     /// Creates an empty hub (1-second gauge buckets).
     pub fn new() -> Self {
         MetricsHub {
-            turns_arrived: Counter::new(),
-            hits_fast: Counter::new(),
-            hits_slow: Counter::new(),
-            misses: Counter::new(),
+            counters: Counters::default(),
+            deferred_runs: 0,
+            last_deferred: None,
             ttft: Histogram::new(),
             queue_wait: Histogram::new(),
             fetch_stall: Histogram::new(),
@@ -151,58 +95,20 @@ impl MetricsHub {
             kv_hidden_secs: 0.0,
             prefetch_latency: Histogram::new(),
             prefetch_starts: HashMap::new(),
-            truncations: Counter::new(),
-            retired: Counter::new(),
             hbm_reserved: TimeSeries::new(GAUGE_BUCKET_SECS),
-            deferrals: CoalescedLog::new(),
             arrivals: HashMap::new(),
             tier_names: Vec::new(),
             store_hits_by_tier: Vec::new(),
             occupancy_by_tier: Vec::new(),
-            store_misses: Counter::new(),
-            saves: Counter::new(),
-            save_rejections: Counter::new(),
-            prefetch_promotions: Counter::new(),
-            demand_promotions: Counter::new(),
-            demotions: Counter::new(),
-            evictions: Counter::new(),
-            drops: Counter::new(),
-            expirations: Counter::new(),
-            write_stalls: Counter::new(),
-            block_dedup_hits: Counter::new(),
-            blocks_matched: Counter::new(),
-            blocks_deduped: Counter::new(),
-            blocks_written: Counter::new(),
-            dedup_bytes_saved: Counter::new(),
-            dedup_bytes_written: Counter::new(),
-            block_divergences: Counter::new(),
-            block_evictions: Counter::new(),
-            read_retries: Counter::new(),
-            read_failures: Counter::new(),
-            write_retries: Counter::new(),
-            write_failures: Counter::new(),
-            corruptions_detected: Counter::new(),
-            recompute_fallbacks: Counter::new(),
-            instance_crashes: Counter::new(),
-            turns_rerouted: Counter::new(),
-            turns_shed: Counter::new(),
-            overload_transitions: Counter::new(),
-            scale_ups: Counter::new(),
-            scale_downs: Counter::new(),
             per_instance: Vec::new(),
         }
-    }
-
-    /// The coalesced admission-deferral log.
-    pub fn deferrals(&self) -> &CoalescedLog {
-        &self.deferrals
     }
 
     /// The per-instance slice for `instance`, grown on demand.
     fn instance_agg(&mut self, instance: u32) -> &mut InstanceAgg {
         let i = instance as usize;
         if self.per_instance.len() <= i {
-            self.per_instance.resize_with(i + 1, InstanceAgg::new);
+            self.per_instance.resize_with(i + 1, InstanceAgg::default);
         }
         &mut self.per_instance[i]
     }
@@ -214,7 +120,7 @@ impl MetricsHub {
             self.tier_names.resize(n, None);
         }
         if self.store_hits_by_tier.len() < n {
-            self.store_hits_by_tier.resize_with(n, Counter::new);
+            self.store_hits_by_tier.resize(n, 0);
         }
         if self.occupancy_by_tier.len() < n {
             self.occupancy_by_tier
@@ -222,10 +128,7 @@ impl MetricsHub {
         }
     }
 
-    /// Renders the per-tier store-stream slices, fastest tier first. The
-    /// single source the snapshot's `tiers` array AND its legacy scalar
-    /// rollups (`store_hits_dram`/`_disk`, the dram/disk occupancy peaks
-    /// and timelines) are both derived from, so they cannot drift apart.
+    /// Renders the per-tier store-stream slices, fastest tier first.
     fn tier_metrics(&self) -> Vec<TierMetrics> {
         (0..self
             .store_hits_by_tier
@@ -238,7 +141,7 @@ impl MetricsHub {
                     Some(n) => n.to_string(),
                     None => format!("t{i}"),
                 },
-                store_hits: self.store_hits_by_tier.get(i).map_or(0, Counter::get),
+                store_hits: self.store_hits_by_tier.get(i).copied().unwrap_or(0),
                 occupancy_peak_bytes: self.occupancy_by_tier.get(i).map_or(0.0, TimeSeries::peak),
                 occupancy_timeline: self
                     .occupancy_by_tier
@@ -254,21 +157,9 @@ impl MetricsHub {
         let mut ttft = self.ttft.clone();
         let mut queue_wait = self.queue_wait.clone();
         let mut prefetch_latency = self.prefetch_latency.clone();
-        let tiers = self.tier_metrics();
         MetricsSnapshot {
-            turns_arrived: self.turns_arrived.get(),
-            hits_fast: self.hits_fast.get(),
-            hits_slow: self.hits_slow.get(),
-            misses: self.misses.get(),
-            hit_rate: {
-                let hits = self.hits_fast.get() + self.hits_slow.get();
-                let total = hits + self.misses.get();
-                if total == 0 {
-                    0.0
-                } else {
-                    hits as f64 / total as f64
-                }
-            },
+            counters: self.counters,
+            hit_rate: self.counters.hit_rate(),
             ttft_count: ttft.count() as u64,
             ttft_mean_secs: ttft.mean(),
             ttft_p50_secs: ttft.median(),
@@ -289,86 +180,29 @@ impl MetricsHub {
             },
             prefetch_latency_mean_secs: prefetch_latency.mean(),
             prefetch_latency_p99_secs: prefetch_latency.percentile(99.0),
-            truncations: self.truncations.get(),
-            retired: self.retired.get(),
-            deferred_events: self.deferrals.deferred_total(),
-            deferred_runs: self.deferrals.entries().len() as u64,
-            store_hits_dram: tiers.first().map_or(0, |t| t.store_hits),
-            store_hits_disk: tiers.iter().skip(1).map(|t| t.store_hits).sum(),
-            store_misses: self.store_misses.get(),
-            saves: self.saves.get(),
-            save_rejections: self.save_rejections.get(),
-            prefetch_promotions: self.prefetch_promotions.get(),
-            demand_promotions: self.demand_promotions.get(),
-            demotions: self.demotions.get(),
-            evictions: self.evictions.get(),
-            drops: self.drops.get(),
-            expirations: self.expirations.get(),
-            write_stalls: self.write_stalls.get(),
-            block_dedup_hits: self.block_dedup_hits.get(),
-            blocks_matched: self.blocks_matched.get(),
-            blocks_deduped: self.blocks_deduped.get(),
-            blocks_written: self.blocks_written.get(),
-            dedup_bytes_saved: self.dedup_bytes_saved.get(),
-            dedup_bytes_written: self.dedup_bytes_written.get(),
-            dedup_ratio: {
-                let total = self.blocks_deduped.get() + self.blocks_written.get();
-                if total == 0 {
-                    0.0
-                } else {
-                    self.blocks_deduped.get() as f64 / total as f64
-                }
-            },
-            block_divergences: self.block_divergences.get(),
-            block_evictions: self.block_evictions.get(),
-            read_retries: self.read_retries.get(),
-            read_failures: self.read_failures.get(),
-            write_retries: self.write_retries.get(),
-            write_failures: self.write_failures.get(),
-            corruptions_detected: self.corruptions_detected.get(),
-            recompute_fallbacks: self.recompute_fallbacks.get(),
-            instance_crashes: self.instance_crashes.get(),
-            turns_rerouted: self.turns_rerouted.get(),
-            turns_shed: self.turns_shed.get(),
-            overload_transitions: self.overload_transitions.get(),
-            scale_ups: self.scale_ups.get(),
-            scale_downs: self.scale_downs.get(),
+            deferred_runs: self.deferred_runs,
+            dedup_ratio: self.counters.dedup_ratio(),
             hbm_reserved_peak_bytes: self.hbm_reserved.peak(),
-            dram_occupancy_peak_bytes: tiers.first().map_or(0.0, |t| t.occupancy_peak_bytes),
-            disk_occupancy_peak_bytes: tiers.get(1).map_or(0.0, |t| t.occupancy_peak_bytes),
             hbm_reserved_timeline: self.hbm_reserved.clone(),
-            dram_occupancy_timeline: tiers
-                .first()
-                .map(|t| t.occupancy_timeline.clone())
-                .unwrap_or_else(|| TimeSeries::new(GAUGE_BUCKET_SECS)),
-            disk_occupancy_timeline: tiers
-                .get(1)
-                .map(|t| t.occupancy_timeline.clone())
-                .unwrap_or_else(|| TimeSeries::new(GAUGE_BUCKET_SECS)),
-            tiers,
+            tiers: self.tier_metrics(),
             instances: self
                 .per_instance
                 .iter()
                 .enumerate()
                 .map(|(i, agg)| {
-                    let hits = agg.hits_fast.get() + agg.hits_slow.get();
-                    let total = hits + agg.misses.get();
+                    let c = &agg.counters;
                     InstanceMetrics {
                         instance: i as u32,
-                        turns_arrived: agg.turns_arrived.get(),
-                        hits_fast: agg.hits_fast.get(),
-                        hits_slow: agg.hits_slow.get(),
-                        misses: agg.misses.get(),
-                        hit_rate: if total == 0 {
-                            0.0
-                        } else {
-                            hits as f64 / total as f64
-                        },
-                        retired: agg.retired.get(),
-                        read_retries: agg.read_retries.get(),
-                        write_retries: agg.write_retries.get(),
-                        recompute_fallbacks: agg.recompute_fallbacks.get(),
-                        turns_rerouted_away: agg.turns_rerouted_away.get(),
+                        turns_arrived: c.turns_arrived,
+                        hits_fast: c.hits_fast,
+                        hits_slow: c.hits_slow,
+                        misses: c.misses,
+                        hit_rate: c.hit_rate(),
+                        retired: c.retired,
+                        read_retries: c.read_retries,
+                        write_retries: c.write_retries,
+                        recompute_fallbacks: c.recompute_fallbacks,
+                        turns_rerouted_away: agg.turns_rerouted_away,
                     }
                 })
                 .collect(),
@@ -378,19 +212,15 @@ impl MetricsHub {
 
 impl EngineObserver for MetricsHub {
     fn on_event(&mut self, ev: EngineEvent) {
+        self.counters.on_event(ev);
         match ev {
             EngineEvent::TurnArrived { session, at, .. } => {
-                self.turns_arrived.incr();
                 self.arrivals.insert(session, at.as_secs_f64());
             }
-            EngineEvent::Truncated { .. } => self.truncations.incr(),
-            EngineEvent::Consulted { class, .. } => match class {
-                ConsultClass::NoHistory => {}
-                ConsultClass::NoStore | ConsultClass::Miss => self.misses.incr(),
-                ConsultClass::HitFast => self.hits_fast.incr(),
-                ConsultClass::HitSlow => self.hits_slow.incr(),
-            },
-            EngineEvent::Deferred { .. } => self.deferrals.on_event(ev),
+            EngineEvent::Deferred { session, .. } if self.last_deferred != Some(session) => {
+                self.deferred_runs += 1;
+                self.last_deferred = Some(session);
+            }
             EngineEvent::Admitted { session, at, .. } => {
                 if let Some(arrived) = self.arrivals.remove(&session) {
                     self.queue_wait.push(at.as_secs_f64() - arrived);
@@ -408,46 +238,24 @@ impl EngineObserver for MetricsHub {
                 self.kv_hidden_secs += (load_secs - stall_secs).max(0.0);
             }
             EngineEvent::PrefillDone { ttft_secs, .. } => self.ttft.push(ttft_secs),
-            EngineEvent::Retired { .. } => self.retired.incr(),
             EngineEvent::HbmReserved {
                 reserved_bytes, at, ..
             } => self
                 .hbm_reserved
                 .record_max(at.as_secs_f64(), reserved_bytes as f64),
-            EngineEvent::InstanceCrashed { .. } => self.instance_crashes.incr(),
-            EngineEvent::TurnRerouted { .. } => self.turns_rerouted.incr(),
-            EngineEvent::DegradedRecompute { .. } => self.recompute_fallbacks.incr(),
             // A shed turn's open arrival must not linger as a phantom
             // queue-wait entry.
             EngineEvent::TurnShed { session, .. } => {
-                self.turns_shed.incr();
                 self.arrivals.remove(&session);
             }
-            EngineEvent::OverloadLevelChanged { .. } => self.overload_transitions.incr(),
-            EngineEvent::ScaleUp { .. } => self.scale_ups.incr(),
-            EngineEvent::ScaleDown { .. } => self.scale_downs.incr(),
-            EngineEvent::SloConfig { .. } => {}
+            _ => {}
         }
     }
 
     fn on_instance_event(&mut self, instance: u32, ev: EngineEvent) {
-        let agg = self.instance_agg(instance);
-        match ev {
-            EngineEvent::TurnArrived { .. } => agg.turns_arrived.incr(),
-            EngineEvent::Consulted { class, .. } => match class {
-                ConsultClass::NoHistory => {}
-                ConsultClass::NoStore | ConsultClass::Miss => agg.misses.incr(),
-                ConsultClass::HitFast => agg.hits_fast.incr(),
-                ConsultClass::HitSlow => agg.hits_slow.incr(),
-            },
-            EngineEvent::Retired { .. } => agg.retired.incr(),
-            EngineEvent::DegradedRecompute { .. } => agg.recompute_fallbacks.incr(),
-            _ => {}
-        }
-        // A reroute is billed to the instance the turn left (the dead
-        // one), not the survivor that emitted the event.
+        self.instance_agg(instance).counters.on_event(ev);
         if let EngineEvent::TurnRerouted { from, .. } = ev {
-            self.instance_agg(from).turns_rerouted_away.incr();
+            self.instance_agg(from).turns_rerouted_away += 1;
         }
         self.on_event(ev);
     }
@@ -457,31 +265,24 @@ impl EngineObserver for MetricsHub {
     }
 
     fn on_store_event(&mut self, ev: StoreEvent) {
+        self.counters.on_store_event(ev);
         match ev {
             StoreEvent::TierConfig { tier, name, .. } => {
                 self.grow_tiers(tier);
                 self.tier_names[tier.0] = Some(name);
             }
-            StoreEvent::Saved { .. } => self.saves.incr(),
-            StoreEvent::SaveRejected { .. } => self.save_rejections.incr(),
             StoreEvent::FetchHit { tier, .. } => {
                 self.grow_tiers(tier);
-                self.store_hits_by_tier[tier.0].incr();
+                self.store_hits_by_tier[tier.0] += 1;
             }
-            StoreEvent::FetchMiss { .. } => self.store_misses.incr(),
             StoreEvent::Promoted {
-                session, kind, at, ..
-            } => match kind {
-                FetchKind::Demand => self.demand_promotions.incr(),
-                FetchKind::Prefetch => {
-                    self.prefetch_promotions.incr();
-                    self.prefetch_starts.insert(session, at.as_secs_f64());
-                }
-            },
-            StoreEvent::Demoted { .. } => self.demotions.incr(),
-            StoreEvent::Evicted { .. } => self.evictions.incr(),
-            StoreEvent::Dropped { .. } => self.drops.incr(),
-            StoreEvent::Expired { .. } => self.expirations.incr(),
+                session,
+                kind: FetchKind::Prefetch,
+                at,
+                ..
+            } => {
+                self.prefetch_starts.insert(session, at.as_secs_f64());
+            }
             StoreEvent::Occupancy {
                 tier,
                 used_bytes,
@@ -495,42 +296,14 @@ impl EngineObserver for MetricsHub {
                     self.prefetch_latency.push(at.as_secs_f64() - start);
                 }
             }
-            StoreEvent::WriteBufferStall { .. } => self.write_stalls.incr(),
-            StoreEvent::BlockConfig { .. } => {}
-            StoreEvent::BlockSaved {
-                new_blocks,
-                dedup_blocks,
-                bytes_written,
-                bytes_saved,
-                ..
-            } => {
-                self.blocks_written.add(new_blocks);
-                self.blocks_deduped.add(dedup_blocks);
-                self.dedup_bytes_written.add(bytes_written);
-                self.dedup_bytes_saved.add(bytes_saved);
-            }
-            StoreEvent::BlockDedupHit { matched_blocks, .. } => {
-                self.block_dedup_hits.incr();
-                self.blocks_matched.add(matched_blocks);
-            }
-            StoreEvent::BlockDiverged { .. } => self.block_divergences.incr(),
-            StoreEvent::BlockEvicted { .. } => self.block_evictions.incr(),
-            StoreEvent::ReadRetry { .. } => self.read_retries.incr(),
-            StoreEvent::ReadFailed { .. } => self.read_failures.incr(),
-            StoreEvent::WriteRetry { .. } => self.write_retries.incr(),
-            StoreEvent::WriteFailed { .. } => self.write_failures.incr(),
-            StoreEvent::CorruptionDetected { .. } => self.corruptions_detected.incr(),
+            _ => {}
         }
     }
 
     fn on_instance_store_event(&mut self, instance: u32, ev: StoreEvent) {
-        // Fault retries are billed to the instance whose pipeline step
+        // Store events are billed to the instance whose pipeline step
         // drained them, so chaos runs stay profile-comparable per GPU.
-        match ev {
-            StoreEvent::ReadRetry { .. } => self.instance_agg(instance).read_retries.incr(),
-            StoreEvent::WriteRetry { .. } => self.instance_agg(instance).write_retries.incr(),
-            _ => {}
-        }
+        self.instance_agg(instance).counters.on_store_event(ev);
         self.on_store_event(ev);
     }
 }
@@ -538,14 +311,10 @@ impl EngineObserver for MetricsHub {
 /// A serializable rendering of a [`MetricsHub`]'s aggregates.
 #[derive(Debug, Clone, Serialize)]
 pub struct MetricsSnapshot {
-    /// Turns that arrived (all turns; the hub sees no warmup filter).
-    pub turns_arrived: u64,
-    /// Consultations classified fast-tier hits.
-    pub hits_fast: u64,
-    /// Consultations classified slow-tier hits.
-    pub hits_slow: u64,
-    /// Consultations classified misses (no cached KV, or no store).
-    pub misses: u64,
+    /// The run's event tallies (all turns; the hub sees no warmup
+    /// filter). Each window line of the windowed export carries the same
+    /// object for its window, and the windows sum to this one.
+    pub counters: Counters,
     /// Hits over classified consultations.
     pub hit_rate: f64,
     /// TTFT samples observed.
@@ -582,98 +351,15 @@ pub struct MetricsSnapshot {
     pub prefetch_latency_mean_secs: f64,
     /// p99 prefetch staging latency, seconds (`None` when no samples).
     pub prefetch_latency_p99_secs: Option<f64>,
-    /// Context-overflow truncations.
-    pub truncations: u64,
-    /// Jobs retired.
-    pub retired: u64,
-    /// Total admission deferrals (before coalescing).
-    pub deferred_events: u64,
-    /// Coalesced deferral runs (consecutive same-session retries).
+    /// Runs of consecutive admission deferrals of one session (a retry
+    /// flood counts once per stalled session).
     pub deferred_runs: u64,
-    /// Store lookups that found KV resident in tier 0 (the fast staging
-    /// tier; rollup of the per-tier slices in [`tiers`](Self::tiers)).
-    pub store_hits_dram: u64,
-    /// Store lookups that found KV resident below tier 0 (all slower
-    /// tiers combined).
-    pub store_hits_disk: u64,
-    /// Store lookups that found nothing cached.
-    pub store_misses: u64,
-    /// Sessions saved or updated.
-    pub saves: u64,
-    /// Saves rejected for capacity.
-    pub save_rejections: u64,
-    /// Look-ahead prefetch promotions (slow tier → tier 0).
-    pub prefetch_promotions: u64,
-    /// Demand-fetch promotions (slow tier → tier 0).
-    pub demand_promotions: u64,
-    /// One-hop demotions to an adjacent slower tier.
-    pub demotions: u64,
-    /// Evictions out of the stack's bottom tier (out of the system).
-    pub evictions: u64,
-    /// Entries dropped because the tier below could not take their
-    /// demotion.
-    pub drops: u64,
-    /// TTL expirations.
-    pub expirations: u64,
-    /// Admissions stalled on the HBM write buffer.
-    pub write_stalls: u64,
-    /// Consults that matched at least one stored block (block-keyed
-    /// stores only; zero under per-session keying, like every dedup
-    /// counter below).
-    pub block_dedup_hits: u64,
-    /// Blocks matched across all consults.
-    pub blocks_matched: u64,
-    /// Save-side blocks that resolved to an already-stored copy.
-    pub blocks_deduped: u64,
-    /// Save-side blocks written fresh.
-    pub blocks_written: u64,
-    /// Bytes not written because the block already existed.
-    pub dedup_bytes_saved: u64,
-    /// Bytes physically written by saves.
-    pub dedup_bytes_written: u64,
     /// Fraction of saved blocks that were dedup hits.
     pub dedup_ratio: f64,
-    /// Sessions that forked off a shared chain (copy-on-divergence).
-    pub block_divergences: u64,
-    /// Unreferenced blocks reclaimed (refcounted eviction).
-    pub block_evictions: u64,
-    /// Injected slow-tier read errors that were retried.
-    pub read_retries: u64,
-    /// Reads abandoned after exhausting their retry budget.
-    pub read_failures: u64,
-    /// Injected slow-tier write errors that were retried.
-    pub write_retries: u64,
-    /// Saves abandoned after exhausting their retry budget.
-    pub write_failures: u64,
-    /// Checksum mismatches caught on load.
-    pub corruptions_detected: u64,
-    /// Turns degraded to a full re-prefill after a cache-path failure.
-    pub recompute_fallbacks: u64,
-    /// Scripted instance crashes observed.
-    pub instance_crashes: u64,
-    /// Turns re-queued onto surviving instances after a crash.
-    pub turns_rerouted: u64,
-    /// Arriving turns shed with a typed rejection (SLO admission).
-    pub turns_shed: u64,
-    /// Degradation-ladder rung changes (either direction).
-    pub overload_transitions: u64,
-    /// Autoscaler scale-up actions.
-    pub scale_ups: u64,
-    /// Autoscaler scale-down actions.
-    pub scale_downs: u64,
     /// Peak live-KV HBM reservation, bytes.
     pub hbm_reserved_peak_bytes: f64,
-    /// Peak tier-0 occupancy, bytes (see [`tiers`](Self::tiers) for the
-    /// full stack).
-    pub dram_occupancy_peak_bytes: f64,
-    /// Peak tier-1 occupancy, bytes.
-    pub disk_occupancy_peak_bytes: f64,
     /// Live-KV HBM reservation over time (1 s buckets, per-bucket max).
     pub hbm_reserved_timeline: TimeSeries,
-    /// Tier-0 occupancy over time (1 s buckets, per-bucket max).
-    pub dram_occupancy_timeline: TimeSeries,
-    /// Tier-1 occupancy over time (1 s buckets, per-bucket max).
-    pub disk_occupancy_timeline: TimeSeries,
     /// Per-tier store-stream aggregates, fastest tier first, labeled by
     /// the stack's configured tier names.
     pub tiers: Vec<TierMetrics>,
@@ -728,6 +414,7 @@ pub struct InstanceMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engine::ConsultClass;
     use sim::Time;
 
     #[test]
@@ -788,20 +475,17 @@ mod tests {
             at: Time::from_millis(1),
         });
         let snap = hub.snapshot();
-        assert_eq!(snap.turns_arrived, 1);
-        assert_eq!(snap.hits_fast, 1);
+        assert_eq!(snap.counters.turns_arrived, 1);
+        assert_eq!(snap.counters.hits_fast, 1);
         assert_eq!(snap.hit_rate, 1.0);
-        assert_eq!(snap.deferred_events, 2);
+        assert_eq!(snap.counters.deferred_events, 2);
         assert_eq!(snap.deferred_runs, 1);
-        assert_eq!(snap.store_hits_dram, 1);
         assert_eq!(snap.ttft_count, 1);
         assert!((snap.ttft_mean_secs - 0.25).abs() < 1e-12);
         assert!((snap.queue_wait_mean_secs - 0.004).abs() < 1e-12);
         assert_eq!(snap.hbm_reserved_peak_bytes, 1_000.0);
-        assert_eq!(snap.dram_occupancy_peak_bytes, 500.0);
-        assert_eq!(snap.disk_occupancy_peak_bytes, 700.0);
-        // The per-tier slices carry the same data keyed by name: tier 0
-        // was announced as "dram", tier 1 fell back to its index label.
+        // Tier 0 was announced as "dram", tier 1 falls back to its index
+        // label.
         assert_eq!(snap.tiers.len(), 2);
         assert_eq!(snap.tiers[0].name, "dram");
         assert_eq!(snap.tiers[0].store_hits, 1);
@@ -811,10 +495,30 @@ mod tests {
         assert_eq!(snap.tiers[1].occupancy_peak_bytes, 700.0);
     }
 
-    /// Hits below tier 1 still roll up into the legacy slow-tier counter
-    /// and the per-tier slices keep them separable.
+    /// A deferral run is consecutive deferrals of one session among the
+    /// deferrals: other events do not break it, another session does.
     #[test]
-    fn deep_tier_hits_roll_up() {
+    fn deferral_runs_count_session_changes() {
+        let mut hub = MetricsHub::new();
+        let defer = |s: u64, ms: u64| {
+            EngineEvent::deferred(s, Time::from_millis(ms + 1), Time::from_millis(ms))
+        };
+        hub.on_event(EngineEvent::turn_arrived(1, 0, Time::ZERO));
+        for ms in [10, 20, 30] {
+            hub.on_event(defer(1, ms));
+        }
+        hub.on_event(EngineEvent::turn_arrived(2, 0, Time::from_millis(35)));
+        hub.on_event(defer(1, 40));
+        hub.on_event(defer(2, 50));
+        hub.on_event(defer(1, 60));
+        let snap = hub.snapshot();
+        assert_eq!(snap.counters.deferred_events, 6);
+        assert_eq!(snap.deferred_runs, 3);
+    }
+
+    /// Hits below tier 1 stay separable in the per-tier slices.
+    #[test]
+    fn deep_tier_hits_are_sliced_per_tier() {
         let mut hub = MetricsHub::new();
         for (tier, n) in [(1usize, 2u64), (3, 1)] {
             for _ in 0..n {
@@ -827,9 +531,8 @@ mod tests {
             }
         }
         let snap = hub.snapshot();
-        assert_eq!(snap.store_hits_dram, 0);
-        assert_eq!(snap.store_hits_disk, 3);
         assert_eq!(snap.tiers.len(), 4);
+        assert_eq!(snap.tiers[0].store_hits, 0);
         assert_eq!(snap.tiers[1].store_hits, 2);
         assert_eq!(snap.tiers[2].store_hits, 0);
         assert_eq!(snap.tiers[3].store_hits, 1);
@@ -839,9 +542,9 @@ mod tests {
     fn snapshot_serializes_to_json() {
         let hub = MetricsHub::new();
         let json = serde_json::to_string(&hub.snapshot()).unwrap();
-        assert!(json.contains("\"turns_arrived\":0"));
+        assert!(json.starts_with("{\"counters\":{\"turns_arrived\":0,"));
         assert!(json.contains("\"hit_rate\":0.0"));
-        assert!(json.contains("\"dram_occupancy_timeline\""));
+        assert!(json.contains("\"hbm_reserved_timeline\""));
         // Empty histograms export null percentiles, not a fake 0.0.
         assert!(json.contains("\"ttft_p50_secs\":null"));
         assert!(json.contains("\"queue_wait_p99_secs\":null"));

@@ -11,10 +11,12 @@
 //!
 //! - [`TraceRecord`]/[`TraceEvent`]: one event of the merged stream,
 //!   stamped with its commit-order `seq`, source and category.
-//! - [`MetricsHub`]: an [`EngineObserver`] folding the stream into the
-//!   `metrics` crate's primitives (per-tier hit counters, TTFT and
-//!   queue-wait histograms, HBM/DRAM occupancy time series), rendered
-//!   on demand as a [`MetricsSnapshot`].
+//! - [`Counters`]: the one fold from events to counter increments,
+//!   shared by both hubs.
+//! - [`MetricsHub`]: an [`EngineObserver`] folding the stream into
+//!   [`Counters`] and the `metrics` crate's primitives (per-tier hits,
+//!   TTFT and queue-wait histograms, HBM and per-tier occupancy time
+//!   series), rendered on demand as a [`MetricsSnapshot`].
 //! - [`to_jsonl`] / [`to_chrome_trace`]: exporters for the raw trace —
 //!   grep-friendly JSON Lines, and the Chrome trace-event format that
 //!   Perfetto and `chrome://tracing` open directly.
@@ -29,6 +31,7 @@ use engine::{ClusterConfig, ClusterReport, EngineConfig, EngineEvent, EngineObse
 use store::StoreEvent;
 use workload::Trace;
 
+mod counters;
 mod export;
 pub mod health;
 mod hub;
@@ -36,6 +39,7 @@ pub mod span;
 mod trace;
 mod window;
 
+pub use counters::Counters;
 pub use export::{
     to_chrome_trace, to_chrome_trace_two_clock, to_chrome_trace_with_alerts, to_jsonl,
     to_prometheus, windows_to_jsonl,
@@ -45,10 +49,8 @@ pub use health::{
 };
 pub use hub::{InstanceMetrics, MetricsHub, MetricsSnapshot};
 pub use span::{Bottleneck, ProfileSummary, Span, SpanForest, TierStats, TurnSpan};
-pub use trace::{TraceEvent, TraceRecord};
-pub use window::{
-    Window, WindowCounters, WindowInstance, WindowSeries, WindowTier, WindowTotals, WindowedHub,
-};
+pub use trace::{check_record, TraceEvent, TraceRecord, TRACE_SCHEMA};
+pub use window::{Window, WindowInstance, WindowSeries, WindowTier, WindowTotals, WindowedHub};
 
 /// The full telemetry stack: records the merged event trace verbatim
 /// and feeds every event through a [`MetricsHub`].
@@ -243,6 +245,6 @@ mod tests {
             .iter()
             .filter(|r| r.ev.kind() == "turn_arrived")
             .count() as u64;
-        assert_eq!(snap.turns_arrived, arrived);
+        assert_eq!(snap.counters.turns_arrived, arrived);
     }
 }

@@ -3,13 +3,15 @@
 //! into end-of-run totals.
 //!
 //! A [`WindowedHub`] slices the run into fixed-width tumbling windows of
-//! *virtual* time. Each window carries the per-event counters (global,
-//! per-tier and per-instance), queue-depth and occupancy gauges, and
-//! four mergeable [`LogSketch`] latency distributions (TTFT, queue wait,
-//! fetch stall, prefetch latency). Because the sketches share one fixed
-//! bucket grid, merging every window yields exactly the sketch of the
-//! whole run — the reconciliation proptests pin window sums against the
-//! end-of-run [`MetricsSnapshot`](crate::MetricsSnapshot).
+//! *virtual* time. Each window carries the event [`Counters`] (global and
+//! per-instance, folded by the same code as the run's), per-tier hits,
+//! queue-depth and occupancy gauges, and four mergeable [`LogSketch`]
+//! latency distributions (TTFT, queue wait, fetch stall, prefetch
+//! latency). The window counters sum to the run's by construction, and
+//! because the sketches share one fixed bucket grid, merging every
+//! window yields exactly the sketch of the whole run — the
+//! reconciliation proptests pin both against the end-of-run
+//! [`MetricsSnapshot`](crate::MetricsSnapshot).
 //!
 //! Events land in the window containing their own timestamp, not the
 //! window being "currently" filled: the merged trace is ordered by
@@ -20,144 +22,11 @@
 
 use std::collections::HashMap;
 
-use engine::{ConsultClass, EngineEvent, EngineObserver};
+use engine::{EngineEvent, EngineObserver};
 use metrics::LogSketch;
-use serde::Serialize;
 use store::{FetchKind, StoreEvent};
 
-/// Per-window tallies of the engine and store event streams. Field
-/// meanings match the same-named [`MetricsSnapshot`](crate::MetricsSnapshot)
-/// totals; summing any field across all windows reproduces the total
-/// exactly.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct WindowCounters {
-    /// Turns that arrived (queued) in this window.
-    pub turns_arrived: u64,
-    /// Jobs admitted (prefill issued).
-    pub admitted: u64,
-    /// Jobs retired.
-    pub retired: u64,
-    /// Context-overflow truncations.
-    pub truncations: u64,
-    /// Consultations classified fast-tier hits.
-    pub hits_fast: u64,
-    /// Consultations classified slow-tier hits.
-    pub hits_slow: u64,
-    /// Consultations classified misses.
-    pub misses: u64,
-    /// Raw admission deferrals (uncoalesced).
-    pub deferred_events: u64,
-    /// Sessions saved or updated in the store.
-    pub saves: u64,
-    /// Saves rejected for capacity.
-    pub save_rejections: u64,
-    /// Demand lookups that found nothing cached.
-    pub store_misses: u64,
-    /// Look-ahead prefetch promotions.
-    pub prefetch_promotions: u64,
-    /// Demand-fetch promotions.
-    pub demand_promotions: u64,
-    /// One-hop demotions.
-    pub demotions: u64,
-    /// Bottom-tier evictions.
-    pub evictions: u64,
-    /// Entries dropped because the tier below had no room.
-    pub drops: u64,
-    /// TTL expirations.
-    pub expirations: u64,
-    /// Admissions stalled on the HBM write buffer.
-    pub write_stalls: u64,
-    /// Consults that matched at least one stored block (block keying).
-    pub block_dedup_hits: u64,
-    /// Blocks matched by those consults.
-    pub blocks_matched: u64,
-    /// Save-side blocks resolved to an already-stored copy.
-    pub blocks_deduped: u64,
-    /// Save-side blocks written fresh.
-    pub blocks_written: u64,
-    /// Sessions forked off a shared chain (copy-on-divergence).
-    pub block_divergences: u64,
-    /// Unreferenced blocks reclaimed (refcounted eviction).
-    pub block_evictions: u64,
-    /// Injected read errors that were retried.
-    pub read_retries: u64,
-    /// Reads abandoned after exhausting retries.
-    pub read_failures: u64,
-    /// Injected write errors that were retried.
-    pub write_retries: u64,
-    /// Saves abandoned after exhausting retries.
-    pub write_failures: u64,
-    /// Checksum mismatches caught on load.
-    pub corruptions_detected: u64,
-    /// Turns degraded to a full re-prefill.
-    pub recompute_fallbacks: u64,
-    /// Scripted instance crashes.
-    pub instance_crashes: u64,
-    /// Turns re-queued after a crash.
-    pub turns_rerouted: u64,
-    /// Arriving turns shed with a typed rejection (SLO admission).
-    pub turns_shed: u64,
-    /// Degradation-ladder rung changes (either direction).
-    pub overload_transitions: u64,
-    /// Autoscaler scale-up actions.
-    pub scale_ups: u64,
-    /// Autoscaler scale-down actions.
-    pub scale_downs: u64,
-}
-
-impl WindowCounters {
-    /// Every fault-stream event folded into one tally (the alert
-    /// engine's fault-rate signal).
-    pub fn fault_events(&self) -> u64 {
-        self.read_retries
-            + self.read_failures
-            + self.write_retries
-            + self.write_failures
-            + self.corruptions_detected
-            + self.recompute_fallbacks
-            + self.instance_crashes
-            + self.turns_rerouted
-    }
-
-    fn merge(&mut self, other: &WindowCounters) {
-        self.turns_arrived += other.turns_arrived;
-        self.admitted += other.admitted;
-        self.retired += other.retired;
-        self.truncations += other.truncations;
-        self.hits_fast += other.hits_fast;
-        self.hits_slow += other.hits_slow;
-        self.misses += other.misses;
-        self.deferred_events += other.deferred_events;
-        self.saves += other.saves;
-        self.save_rejections += other.save_rejections;
-        self.store_misses += other.store_misses;
-        self.prefetch_promotions += other.prefetch_promotions;
-        self.demand_promotions += other.demand_promotions;
-        self.demotions += other.demotions;
-        self.evictions += other.evictions;
-        self.drops += other.drops;
-        self.expirations += other.expirations;
-        self.write_stalls += other.write_stalls;
-        self.block_dedup_hits += other.block_dedup_hits;
-        self.blocks_matched += other.blocks_matched;
-        self.blocks_deduped += other.blocks_deduped;
-        self.blocks_written += other.blocks_written;
-        self.block_divergences += other.block_divergences;
-        self.block_evictions += other.block_evictions;
-        self.read_retries += other.read_retries;
-        self.read_failures += other.read_failures;
-        self.write_retries += other.write_retries;
-        self.write_failures += other.write_failures;
-        self.corruptions_detected += other.corruptions_detected;
-        self.recompute_fallbacks += other.recompute_fallbacks;
-        self.instance_crashes += other.instance_crashes;
-        self.turns_rerouted += other.turns_rerouted;
-        self.turns_shed += other.turns_shed;
-        self.overload_transitions += other.overload_transitions;
-        self.scale_ups += other.scale_ups;
-        self.scale_downs += other.scale_downs;
-    }
-}
+use crate::counters::Counters;
 
 /// One tier's slice of a window.
 #[derive(Debug, Clone)]
@@ -188,28 +57,16 @@ impl WindowTier {
 }
 
 /// One instance's slice of a window (empty in single-engine runs, which
-/// observe through the instance-blind hooks).
+/// observe through the instance-blind hooks): the arrivals, admissions
+/// and retirements the instance committed in the window, folded like the
+/// window's own counters.
 #[derive(Debug, Clone, Copy)]
 pub struct WindowInstance {
     /// Instance id.
     pub instance: u32,
-    /// Turns routed to this instance in this window.
-    pub turns_arrived: u64,
-    /// Jobs admitted on this instance.
-    pub admitted: u64,
-    /// Jobs retired on this instance.
-    pub retired: u64,
-}
-
-impl WindowInstance {
-    fn new(instance: u32) -> Self {
-        WindowInstance {
-            instance,
-            turns_arrived: 0,
-            admitted: 0,
-            retired: 0,
-        }
-    }
+    /// The instance's arrivals, admissions and retirements in this
+    /// window (its other counters stay zero).
+    pub counters: Counters,
 }
 
 /// One tumbling window of the run: `[start_secs, end_secs)` in virtual
@@ -223,7 +80,7 @@ pub struct Window {
     /// Exclusive window end, seconds of virtual time.
     pub end_secs: f64,
     /// Event tallies for this window.
-    pub counters: WindowCounters,
+    pub counters: Counters,
     /// Queue depth (arrived, not yet admitted) at the end of the window.
     pub queue_depth_end: u64,
     /// Peak queue depth observed within the window.
@@ -254,7 +111,7 @@ impl Window {
             index,
             start_secs: index as f64 * width_secs,
             end_secs: (index + 1) as f64 * width_secs,
-            counters: WindowCounters::default(),
+            counters: Counters::default(),
             queue_depth_end: 0,
             queue_depth_peak: 0,
             hbm_reserved_end_bytes: 0.0,
@@ -281,8 +138,10 @@ impl Window {
         let i = instance as usize;
         if self.instances.len() <= i {
             let from = self.instances.len();
-            self.instances
-                .extend((from..=i).map(|n| WindowInstance::new(n as u32)));
+            self.instances.extend((from..=i).map(|n| WindowInstance {
+                instance: n as u32,
+                counters: Counters::default(),
+            }));
         }
         &mut self.instances[i]
     }
@@ -312,7 +171,7 @@ impl WindowSeries {
     /// sketches merged) — by construction exactly what a single-window
     /// hub would have recorded for the whole run.
     pub fn totals(&self) -> WindowTotals {
-        let mut counters = WindowCounters::default();
+        let mut counters = Counters::default();
         let mut ttft = LogSketch::new();
         let mut queue_wait = LogSketch::new();
         let mut fetch_stall = LogSketch::new();
@@ -338,7 +197,7 @@ impl WindowSeries {
 #[derive(Debug, Clone)]
 pub struct WindowTotals {
     /// Summed per-window counters.
-    pub counters: WindowCounters,
+    pub counters: Counters,
     /// All TTFT samples, merged.
     pub ttft: LogSketch,
     /// All queue-wait samples, merged.
@@ -464,29 +323,15 @@ impl WindowedHub {
 impl EngineObserver for WindowedHub {
     fn on_event(&mut self, ev: EngineEvent) {
         let at = ev.at().as_secs_f64();
+        self.window_at(at).counters.on_event(ev);
         match ev {
             EngineEvent::TurnArrived { session, .. } => {
-                self.window_at(at).counters.turns_arrived += 1;
                 self.arrivals.insert(session, at);
                 self.record_depth_at(at);
             }
-            EngineEvent::Truncated { .. } => self.window_at(at).counters.truncations += 1,
-            EngineEvent::Consulted { class, .. } => {
-                let w = self.window_at(at);
-                match class {
-                    ConsultClass::NoHistory => {}
-                    ConsultClass::NoStore | ConsultClass::Miss => w.counters.misses += 1,
-                    ConsultClass::HitFast => w.counters.hits_fast += 1,
-                    ConsultClass::HitSlow => w.counters.hits_slow += 1,
-                }
-            }
-            EngineEvent::Deferred { .. } => self.window_at(at).counters.deferred_events += 1,
             EngineEvent::Admitted { session, .. } => {
-                let arrived = self.arrivals.remove(&session);
-                let w = self.window_at(at);
-                w.counters.admitted += 1;
-                if let Some(arrived) = arrived {
-                    w.queue_wait.push(at - arrived);
+                if let Some(arrived) = self.arrivals.remove(&session) {
+                    self.window_at(at).queue_wait.push(at - arrived);
                 }
                 self.record_depth_at(at);
             }
@@ -496,44 +341,32 @@ impl EngineObserver for WindowedHub {
             EngineEvent::PrefillDone { ttft_secs, .. } => {
                 self.window_at(at).ttft.push(ttft_secs);
             }
-            EngineEvent::Retired { .. } => self.window_at(at).counters.retired += 1,
             EngineEvent::HbmReserved { reserved_bytes, .. } => {
                 let w = self.window_at(at);
                 w.hbm_reserved_end_bytes = reserved_bytes as f64;
                 w.hbm_sampled = true;
             }
-            EngineEvent::InstanceCrashed { .. } => {
-                self.window_at(at).counters.instance_crashes += 1;
-            }
-            EngineEvent::TurnRerouted { .. } => self.window_at(at).counters.turns_rerouted += 1,
-            EngineEvent::DegradedRecompute { .. } => {
-                self.window_at(at).counters.recompute_fallbacks += 1;
-            }
             EngineEvent::TurnShed { session, .. } => {
                 // The arrival opened a queue-depth entry; the rejection
                 // closes it without an admission.
                 self.arrivals.remove(&session);
-                self.window_at(at).counters.turns_shed += 1;
                 self.record_depth_at(at);
             }
-            EngineEvent::OverloadLevelChanged { .. } => {
-                self.window_at(at).counters.overload_transitions += 1;
-            }
-            EngineEvent::ScaleUp { .. } => self.window_at(at).counters.scale_ups += 1,
-            EngineEvent::ScaleDown { .. } => self.window_at(at).counters.scale_downs += 1,
-            EngineEvent::SloConfig { .. } => {}
+            _ => {}
         }
     }
 
     fn on_instance_event(&mut self, instance: u32, ev: EngineEvent) {
-        let at = ev.at().as_secs_f64();
-        match ev {
-            EngineEvent::TurnArrived { .. } => {
-                self.window_at(at).instance(instance).turns_arrived += 1;
-            }
-            EngineEvent::Admitted { .. } => self.window_at(at).instance(instance).admitted += 1,
-            EngineEvent::Retired { .. } => self.window_at(at).instance(instance).retired += 1,
-            _ => {}
+        // Instance slices follow the turn lifecycle only, so a window
+        // lists the instances that moved turns in it.
+        if matches!(
+            ev,
+            EngineEvent::TurnArrived { .. }
+                | EngineEvent::Admitted { .. }
+                | EngineEvent::Retired { .. }
+        ) {
+            let at = ev.at().as_secs_f64();
+            self.window_at(at).instance(instance).counters.on_event(ev);
         }
         self.on_event(ev);
     }
@@ -544,6 +377,7 @@ impl EngineObserver for WindowedHub {
 
     fn on_store_event(&mut self, ev: StoreEvent) {
         let at = ev.at().as_secs_f64();
+        self.window_at(at).counters.on_store_event(ev);
         match ev {
             StoreEvent::TierConfig { tier, name, .. } => {
                 if self.tier_names.len() <= tier.0 {
@@ -551,21 +385,14 @@ impl EngineObserver for WindowedHub {
                 }
                 self.tier_names[tier.0] = Some(name);
             }
-            StoreEvent::Saved { .. } => self.window_at(at).counters.saves += 1,
-            StoreEvent::SaveRejected { .. } => self.window_at(at).counters.save_rejections += 1,
             StoreEvent::FetchHit { tier, .. } => self.window_at(at).tier(tier.0).store_hits += 1,
-            StoreEvent::FetchMiss { .. } => self.window_at(at).counters.store_misses += 1,
-            StoreEvent::Promoted { session, kind, .. } => match kind {
-                FetchKind::Demand => self.window_at(at).counters.demand_promotions += 1,
-                FetchKind::Prefetch => {
-                    self.window_at(at).counters.prefetch_promotions += 1;
-                    self.prefetch_starts.insert(session, at);
-                }
-            },
-            StoreEvent::Demoted { .. } => self.window_at(at).counters.demotions += 1,
-            StoreEvent::Evicted { .. } => self.window_at(at).counters.evictions += 1,
-            StoreEvent::Dropped { .. } => self.window_at(at).counters.drops += 1,
-            StoreEvent::Expired { .. } => self.window_at(at).counters.expirations += 1,
+            StoreEvent::Promoted {
+                session,
+                kind: FetchKind::Prefetch,
+                ..
+            } => {
+                self.prefetch_starts.insert(session, at);
+            }
             StoreEvent::Occupancy {
                 tier, used_bytes, ..
             } => {
@@ -579,38 +406,8 @@ impl EngineObserver for WindowedHub {
                     self.window_at(at).prefetch_latency.push(at - start);
                 }
             }
-            StoreEvent::WriteBufferStall { .. } => self.window_at(at).counters.write_stalls += 1,
-            StoreEvent::BlockConfig { .. } => {}
-            StoreEvent::BlockSaved {
-                new_blocks,
-                dedup_blocks,
-                ..
-            } => {
-                let c = &mut self.window_at(at).counters;
-                c.blocks_written += new_blocks;
-                c.blocks_deduped += dedup_blocks;
-            }
-            StoreEvent::BlockDedupHit { matched_blocks, .. } => {
-                let c = &mut self.window_at(at).counters;
-                c.block_dedup_hits += 1;
-                c.blocks_matched += matched_blocks;
-            }
-            StoreEvent::BlockDiverged { .. } => {
-                self.window_at(at).counters.block_divergences += 1;
-            }
-            StoreEvent::BlockEvicted { .. } => self.window_at(at).counters.block_evictions += 1,
-            StoreEvent::ReadRetry { .. } => self.window_at(at).counters.read_retries += 1,
-            StoreEvent::ReadFailed { .. } => self.window_at(at).counters.read_failures += 1,
-            StoreEvent::WriteRetry { .. } => self.window_at(at).counters.write_retries += 1,
-            StoreEvent::WriteFailed { .. } => self.window_at(at).counters.write_failures += 1,
-            StoreEvent::CorruptionDetected { .. } => {
-                self.window_at(at).counters.corruptions_detected += 1;
-            }
+            _ => {}
         }
-    }
-
-    fn on_instance_store_event(&mut self, _instance: u32, ev: StoreEvent) {
-        self.on_store_event(ev);
     }
 }
 
@@ -730,8 +527,8 @@ mod tests {
         let series = hub.series();
         let insts = &series.windows[0].instances;
         assert_eq!(insts.len(), 3);
-        assert_eq!(insts[2].turns_arrived, 1);
-        assert_eq!(insts[0].turns_arrived, 0);
+        assert_eq!(insts[2].counters.turns_arrived, 1);
+        assert_eq!(insts[0].counters.turns_arrived, 0);
         // The instance-blind tally still sees the event.
         assert_eq!(series.windows[0].counters.turns_arrived, 1);
     }

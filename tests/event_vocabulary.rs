@@ -4,19 +4,23 @@
 //! kind of both streams (engine and store), with every `Option` field
 //! encoded once as `Some` and once as `None`. The fixture was written by
 //! the hand-written encoders the event tables replaced, so a byte-equal
-//! match shows the generated encoding kept the format. To regenerate it
+//! match shows the generated encoding kept the format; the same lines
+//! must pass the generated schema's check, and the README's taxonomy
+//! table must list exactly the schema's kinds. To regenerate the fixture
 //! after an intentional format change:
 //!
 //! ```text
 //! REGEN_GOLDEN=1 cargo test --test event_vocabulary
 //! ```
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use cachedattention::engine::{ConsultClass, EngineEvent};
+use cachedattention::sim::events::{Absence, Value};
 use cachedattention::sim::Time;
 use cachedattention::store::{FetchKind, StoreEvent, TierId};
-use cachedattention::telemetry::{to_jsonl, TraceEvent, TraceRecord};
+use cachedattention::telemetry::{check_record, to_jsonl, TraceEvent, TraceRecord, TRACE_SCHEMA};
 
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/event_vocabulary.jsonl")
@@ -253,6 +257,88 @@ fn encoding_matches_the_fixture_byte_for_byte() {
         assert_eq!(want, got, "line {} diverged from the fixture", i + 1);
     }
     assert_eq!(expected, jsonl);
+}
+
+/// Every (source, category, kind) triple the schema declares.
+fn schema_triples() -> BTreeSet<(&'static str, &'static str, &'static str)> {
+    TRACE_SCHEMA
+        .iter()
+        .flat_map(|(source, table)| table.iter().map(move |s| (*source, s.category, s.kind)))
+        .collect()
+}
+
+fn fixture_lines() -> Vec<Vec<(String, Value)>> {
+    let text = std::fs::read_to_string(fixture_path()).expect("read fixture");
+    text.lines()
+        .map(
+            |line| match serde_json::from_str(line).expect("fixture line parses") {
+                Value::Object(pairs) => pairs,
+                other => panic!("fixture line is not an object: {other:?}"),
+            },
+        )
+        .collect()
+}
+
+/// The fixture's lines pass the schema check, together they cover every
+/// declared kind, and every field that may be absent appears both
+/// present and absent (or `null`).
+#[test]
+fn the_fixture_matches_the_schema_and_covers_it() {
+    let mut kinds = BTreeSet::new();
+    let mut present = BTreeSet::new();
+    let mut absent = BTreeSet::new();
+    for (i, pairs) in fixture_lines().iter().enumerate() {
+        let schema = check_record(pairs).unwrap_or_else(|e| panic!("line {}: {e}", i + 1));
+        let source = match pairs.iter().find(|(k, _)| k == "source") {
+            Some((_, Value::Str(s))) => s.clone(),
+            other => panic!("line {}: bad source {other:?}", i + 1),
+        };
+        kinds.insert((source, schema.category, schema.kind));
+        for f in schema.fields.iter().filter(|f| f.absence != Absence::Never) {
+            match pairs.iter().find(|(k, _)| k == f.key) {
+                Some((_, v)) if *v != Value::Null => present.insert((schema.kind, f.key)),
+                _ => absent.insert((schema.kind, f.key)),
+            };
+        }
+    }
+    let want: BTreeSet<_> = schema_triples()
+        .into_iter()
+        .map(|(s, c, k)| (s.to_string(), c, k))
+        .collect();
+    assert_eq!(kinds, want);
+    let optional: BTreeSet<_> = TRACE_SCHEMA
+        .iter()
+        .flat_map(|(_, table)| table.iter())
+        .flat_map(|s| {
+            s.fields
+                .iter()
+                .filter(|f| f.absence != Absence::Never)
+                .map(move |f| (s.kind, f.key))
+        })
+        .collect();
+    assert_eq!(present, optional, "optional fields never encoded as Some");
+    assert_eq!(absent, optional, "optional fields never encoded as None");
+}
+
+/// The README's event taxonomy table lists each (source, category, kind)
+/// triple of the schema exactly once, and nothing else.
+#[test]
+fn readme_taxonomy_lists_exactly_the_schema() {
+    let readme = include_str!("../README.md");
+    let mut listed = Vec::new();
+    for line in readme.lines() {
+        let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+        if cells.len() < 5 || !matches!(cells[1], "engine" | "store") {
+            continue;
+        }
+        let category = cells[2].trim_matches('`');
+        for kind in cells[3].split(',') {
+            listed.push((cells[1], category, kind.trim().trim_matches('`')));
+        }
+    }
+    let unique: BTreeSet<_> = listed.iter().copied().collect();
+    assert_eq!(unique.len(), listed.len(), "a README row repeats a kind");
+    assert_eq!(unique, schema_triples());
 }
 
 #[test]

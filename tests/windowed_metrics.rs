@@ -6,9 +6,12 @@
 //! of virtual time. Three contracts pin it, for every mode, medium,
 //! window width — and for arbitrary fault plans on a cluster:
 //!
-//! 1. **Counter conservation** — summing any counter over all windows
-//!    yields exactly the scalar snapshot's total. Nothing is double
-//!    counted at a window boundary, nothing is dropped.
+//! 1. **Counter conservation** — summing the counters over all windows
+//!    yields exactly the scalar snapshot's counters, every field. Nothing
+//!    is double counted at a window boundary, nothing is dropped. Beyond
+//!    the proptests, one content-addressed run and one SLO-controlled
+//!    cluster run check the block, dedup, shed, ladder and scaling
+//!    counters, which are zero elsewhere.
 //! 2. **Sketch fidelity** — the merged per-window [`LogSketch`]es hold
 //!    exactly as many samples as the snapshot's exact histograms, and
 //!    every percentile the snapshot reports is reproduced within the
@@ -17,15 +20,20 @@
 //!    spans exactly `[i*width, (i+1)*width)`: contiguous,
 //!    non-overlapping, gap-free.
 
-use cachedattention::engine::{ClusterConfig, EngineConfig, Medium, Mode, RouterKind};
+use cachedattention::engine::{
+    AutoscalePolicy, ClusterConfig, EngineConfig, Medium, Mode, RouterKind, SloPolicy,
+};
 use cachedattention::metrics::LogSketch;
 use cachedattention::models::ModelSpec;
 use cachedattention::sim::{Dur, FaultPlan, RetryPolicy, Time};
+use cachedattention::store::KeyingMode;
 use cachedattention::telemetry::{
     run_cluster_with_windowed_telemetry, run_with_windowed_telemetry, MetricsSnapshot, Telemetry,
     WindowSeries,
 };
-use cachedattention::workload::{Generator, ShareGptProfile, Trace};
+use cachedattention::workload::{
+    Generator, PrefixProfile, PrefixScenario, ShareGptProfile, Surge, Trace,
+};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -132,60 +140,9 @@ fn assert_reconciles(tel: &Telemetry) -> Result<(), TestCaseError> {
     assert_contiguous(&series)?;
     let totals = series.totals();
 
-    // 1. Counter conservation: every field the snapshot also carries.
-    let c = &totals.counters;
-    for (name, windowed, scalar) in [
-        ("turns_arrived", c.turns_arrived, snap.turns_arrived),
-        ("retired", c.retired, snap.retired),
-        ("truncations", c.truncations, snap.truncations),
-        ("hits_fast", c.hits_fast, snap.hits_fast),
-        ("hits_slow", c.hits_slow, snap.hits_slow),
-        ("misses", c.misses, snap.misses),
-        ("deferred_events", c.deferred_events, snap.deferred_events),
-        ("saves", c.saves, snap.saves),
-        ("save_rejections", c.save_rejections, snap.save_rejections),
-        ("store_misses", c.store_misses, snap.store_misses),
-        (
-            "prefetch_promotions",
-            c.prefetch_promotions,
-            snap.prefetch_promotions,
-        ),
-        (
-            "demand_promotions",
-            c.demand_promotions,
-            snap.demand_promotions,
-        ),
-        ("demotions", c.demotions, snap.demotions),
-        ("evictions", c.evictions, snap.evictions),
-        ("drops", c.drops, snap.drops),
-        ("expirations", c.expirations, snap.expirations),
-        ("write_stalls", c.write_stalls, snap.write_stalls),
-        ("read_retries", c.read_retries, snap.read_retries),
-        ("read_failures", c.read_failures, snap.read_failures),
-        ("write_retries", c.write_retries, snap.write_retries),
-        ("write_failures", c.write_failures, snap.write_failures),
-        (
-            "corruptions_detected",
-            c.corruptions_detected,
-            snap.corruptions_detected,
-        ),
-        (
-            "recompute_fallbacks",
-            c.recompute_fallbacks,
-            snap.recompute_fallbacks,
-        ),
-        (
-            "instance_crashes",
-            c.instance_crashes,
-            snap.instance_crashes,
-        ),
-        ("turns_rerouted", c.turns_rerouted, snap.turns_rerouted),
-    ] {
-        prop_assert!(
-            windowed == scalar,
-            "counter `{name}` diverged: windows sum {windowed}, snapshot {scalar}"
-        );
-    }
+    // 1. Counter conservation: the windows' counters sum to the run's,
+    // every field of them.
+    prop_assert_eq!(totals.counters, snap.counters);
 
     // Per-tier hits are conserved tier by tier, in tier order.
     prop_assert_eq!(series.tier_names.len(), snap.tiers.len());
@@ -300,4 +257,61 @@ proptest! {
         let (_report, tel) = run_cluster_with_windowed_telemetry(cfg, trace, width_secs);
         assert_reconciles(&tel)?;
     }
+}
+
+/// Content-addressed keying on a shared-system-prompt workload: the
+/// block and dedup counters are live, and still reconcile.
+#[test]
+fn windows_reconcile_under_block_keying() {
+    let mut cfg = pressured(Mode::CachedAttention, Medium::DramDisk);
+    cfg.store.keying = KeyingMode::ContentAddressed;
+    let scenario = PrefixScenario::SharedSystemPrompt {
+        pools: 2,
+        prompt_tokens: 1024,
+    };
+    let trace = PrefixProfile::new(ShareGptProfile::default(), scenario).trace(11, 24);
+    let (_report, tel) = run_with_windowed_telemetry(cfg, trace, 20.0);
+    assert_reconciles(&tel).unwrap();
+    let c = tel.snapshot().counters;
+    assert!(c.block_dedup_hits > 0 && c.blocks_deduped > 0, "{c:?}");
+    assert!(
+        c.dedup_bytes_saved > 0 && c.dedup_bytes_written > 0,
+        "{c:?}"
+    );
+}
+
+/// An autoscaled SLO ladder under a flash crowd: the shed, ladder and
+/// scaling counters are live, and still reconcile.
+#[test]
+fn windows_reconcile_under_slo_control() {
+    let profile = ShareGptProfile::default()
+        .with_arrival_rate(2.0)
+        .with_surge(Surge {
+            start_secs: 10.0,
+            duration_secs: 120.0,
+            factor: 4.0,
+        });
+    let trace = Generator::new(profile, 7).trace(120);
+    let autoscale = AutoscalePolicy {
+        up_queue_depth: 1.5,
+        down_queue_depth: 0.5,
+        cooldown: Dur::from_secs_f64(10.0),
+        ..AutoscalePolicy::default()
+    }
+    .with_bounds(1, 4);
+    let mut slo = SloPolicy::new(Dur::from_secs_f64(5.0)).with_autoscale(autoscale);
+    // A small inbox makes the crowd overflow it, so turns are shed.
+    slo.inbox_capacity = 6;
+    let cfg = ClusterConfig::new(
+        pressured(Mode::CachedAttention, Medium::DramDisk),
+        2,
+        RouterKind::SessionAffinity,
+    )
+    .with_slo(slo);
+    let (_report, tel) = run_cluster_with_windowed_telemetry(cfg, trace, 30.0);
+    assert_reconciles(&tel).unwrap();
+    let c = tel.snapshot().counters;
+    assert!(c.turns_shed > 0, "{c:?}");
+    assert!(c.overload_transitions > 0, "{c:?}");
+    assert!(c.scale_ups > 0 && c.scale_downs > 0, "{c:?}");
 }
