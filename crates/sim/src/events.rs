@@ -41,7 +41,7 @@ pub enum FieldType {
 
 impl FieldType {
     /// Lowercase name used in schema messages.
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             FieldType::Integer => "integer",
             FieldType::Number => "number",
@@ -51,7 +51,7 @@ impl FieldType {
     }
 
     /// Whether `v` is a value of this type.
-    pub fn admits(self, v: &Value) -> bool {
+    fn admits(self, v: &Value) -> bool {
         matches!(
             (self, v),
             (FieldType::Integer, Value::U64(_))

@@ -24,7 +24,7 @@ macro_rules! counters {
 
         impl Counters {
             /// Adds `other` field by field.
-            pub fn merge(&mut self, other: &Counters) {
+            pub(crate) fn merge(&mut self, other: &Counters) {
                 $(self.$name += other.$name;)*
             }
         }
@@ -128,7 +128,7 @@ impl Counters {
     }
 
     /// Hits over classified consultations (0 when none were classified).
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let hits = self.hits_fast + self.hits_slow;
         let total = hits + self.misses;
         if total == 0 {
@@ -140,7 +140,7 @@ impl Counters {
 
     /// Fraction of saved blocks that were dedup hits (0 without block
     /// saves).
-    pub fn dedup_ratio(&self) -> f64 {
+    pub(crate) fn dedup_ratio(&self) -> f64 {
         let total = self.blocks_deduped + self.blocks_written;
         if total == 0 {
             0.0
