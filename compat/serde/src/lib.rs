@@ -4,11 +4,89 @@
 //! [`Serialize`] renders straight into an owned JSON-shaped [`Value`] tree
 //! and [`Deserialize`] reads back out of one. The derive macros (from the
 //! sibling `serde_derive` stand-in) generate impls of these traits, and
-//! the `serde_json` stand-in converts [`Value`] to and from text.
+//! the `serde_json` stand-in converts [`Value`] to and from text. The
+//! scalars' JSON text comes from [`text`], which writers that skip the
+//! tree call too.
 
 #![warn(missing_docs)]
 
 pub use serde_derive::{Deserialize, Serialize};
+
+/// JSON text of the scalar values, appended to a `String`.
+///
+/// The one formatter: the `serde_json` stand-in writes every [`Value`]
+/// scalar and object key through it, and writers that emit JSON without
+/// building a [`Value`] first call the same functions, so both produce
+/// the same bytes by construction.
+pub mod text {
+    /// Appends `n` in decimal.
+    pub fn write_u64(out: &mut String, mut n: u64) {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+    }
+
+    /// Appends `n` in decimal.
+    pub fn write_i64(out: &mut String, n: i64) {
+        if n < 0 {
+            out.push('-');
+        }
+        write_u64(out, n.unsigned_abs());
+    }
+
+    /// Appends `x` in Rust's shortest representation that parses back to
+    /// the same bits (`{:?}`), which always has a `.` or an exponent, so
+    /// floats stay distinguishable from integers. JSON has no NaN or
+    /// infinity: those are written as `null`, as serde_json does.
+    pub fn write_f64(out: &mut String, x: f64) {
+        if x.is_finite() {
+            use std::fmt::Write;
+            write!(out, "{x:?}").expect("writing to a String cannot fail");
+        } else {
+            out.push_str("null");
+        }
+    }
+
+    /// Appends `s` as a quoted JSON string: `"`, `\` and the control
+    /// characters are escaped (`\n`, `\r`, `\t` by name, the rest as
+    /// `\u00xx`); everything else is copied as is.
+    pub fn write_str(out: &mut String, s: &str) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        out.push('"');
+        let mut copied = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let named = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            // Escaped bytes are ASCII, so `i` is a char boundary.
+            out.push_str(&s[copied..i]);
+            copied = i + 1;
+            if named.is_empty() {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            } else {
+                out.push_str(named);
+            }
+        }
+        out.push_str(&s[copied..]);
+        out.push('"');
+    }
+}
 
 /// A JSON-shaped data tree.
 ///
@@ -291,6 +369,37 @@ mod tests {
             Option::<u64>::from_value(&Value::U64(5)).unwrap(),
             Some(5u64)
         );
+    }
+
+    fn text_of(write: impl FnOnce(&mut String)) -> String {
+        let mut out = String::new();
+        write(&mut out);
+        out
+    }
+
+    #[test]
+    fn text_writes_scalars_as_display_and_debug_would() {
+        for n in [0, 7, 10, 99, 1_000_000, u64::MAX] {
+            assert_eq!(text_of(|o| text::write_u64(o, n)), n.to_string());
+        }
+        for n in [0, -1, 42, i64::MIN, i64::MAX] {
+            assert_eq!(text_of(|o| text::write_i64(o, n)), n.to_string());
+        }
+        for x in [0.0, -0.0, 1.0, 0.1, 1.0 / 3.0, 1e21, 5e-324, -2.5e-7] {
+            assert_eq!(text_of(|o| text::write_f64(o, x)), format!("{x:?}"));
+        }
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(text_of(|o| text::write_f64(o, x)), "null");
+        }
+    }
+
+    #[test]
+    fn text_escapes_quotes_backslashes_and_control_characters() {
+        assert_eq!(
+            text_of(|o| text::write_str(o, "a\"b\\c\nd\re\tf\u{1}g\u{1f}h\u{7f}é")),
+            "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001fh\u{7f}é\""
+        );
+        assert_eq!(text_of(|o| text::write_str(o, "")), "\"\"");
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Offline stand-in for `serde_json` (see `compat/README.md`).
 //!
-//! Serializes via the stand-in `serde::Value` tree. Floats are printed
-//! with Rust's shortest round-trip representation (`{:?}`), so two runs
-//! that produce bit-identical `f64`s produce byte-identical JSON — the
-//! property the golden-report regression tests rely on.
+//! Serializes via the stand-in `serde::Value` tree, writing its scalars
+//! and keys through `serde::text`. Floats are printed with Rust's
+//! shortest round-trip representation (`{:?}`), so two runs that produce
+//! bit-identical `f64`s produce byte-identical JSON — the property the
+//! golden-report regression tests rely on.
 
 #![warn(missing_docs)]
 
+use serde::text::{write_f64, write_i64, write_str, write_u64};
 pub use serde::Error;
 use serde::{Deserialize, Serialize, Value};
 
@@ -15,12 +17,6 @@ pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
     write_value(&mut out, &value.to_value(), None, 0);
     Ok(out)
-}
-
-/// Appends an already-built `value` to `out` as compact JSON, without
-/// the copy [`to_string`] makes of its argument.
-pub fn push_value(out: &mut String, value: &Value) {
-    write_value(out, value, None, 0);
 }
 
 /// Serializes `value` to JSON indented with two spaces.
@@ -52,20 +48,10 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize)
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::I64(n) => out.push_str(&n.to_string()),
-        Value::F64(x) => {
-            if x.is_finite() {
-                // `{:?}` is Rust's shortest representation that parses
-                // back to the same bits; it always includes a `.` or `e`
-                // so floats stay distinguishable from integers.
-                out.push_str(&format!("{x:?}"));
-            } else {
-                // JSON has no NaN/Infinity; match serde_json's `null`.
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_string(out, s),
+        Value::U64(n) => write_u64(out, *n),
+        Value::I64(n) => write_i64(out, *n),
+        Value::F64(x) => write_f64(out, *x),
+        Value::Str(s) => write_str(out, s),
         Value::Array(xs) => {
             if xs.is_empty() {
                 out.push_str("[]");
@@ -93,7 +79,7 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize)
                     out.push(',');
                 }
                 newline_indent(out, indent, level + 1);
-                write_string(out, k);
+                write_str(out, k);
                 out.push(':');
                 if indent.is_some() {
                     out.push(' ');
@@ -113,24 +99,6 @@ fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
             out.push(' ');
         }
     }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {

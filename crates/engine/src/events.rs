@@ -16,7 +16,6 @@
 //! one causal order) opt in via
 //! [`EngineObserver::wants_store_events`].
 
-use serde::Value;
 use sim::events::{EventField, FieldType};
 use sim::Time;
 use store::StoreEvent;
@@ -51,8 +50,8 @@ impl ConsultClass {
 
 impl EventField for ConsultClass {
     const TYPE: FieldType = FieldType::String;
-    fn encode(&self) -> Option<Value> {
-        Some(Value::Str(self.label().to_string()))
+    fn write_json(&self, out: &mut String) {
+        self.label().write_json(out);
     }
 }
 
@@ -490,6 +489,14 @@ impl EngineObserver for EventLog {
 mod tests {
     use super::*;
 
+    /// The event as a standalone JSON object.
+    fn json(ev: &EngineEvent) -> String {
+        let mut out = String::from("{");
+        ev.write_json_members(&mut out);
+        out.push('}');
+        out
+    }
+
     #[test]
     fn log_collects_in_order() {
         let mut log = EventLog::new();
@@ -514,9 +521,8 @@ mod tests {
     #[test]
     fn serializes_as_tagged_objects() {
         let ev = EngineEvent::consulted(5, ConsultClass::HitSlow, 700, Time::from_secs_f64(2.0));
-        let json = serde_json::to_string(&ev).unwrap();
         assert_eq!(
-            json,
+            json(&ev),
             "{\"kind\":\"consulted\",\"session\":5,\"class\":\"hit_slow\",\
              \"reused\":700,\"at\":2.0}"
         );
@@ -533,14 +539,14 @@ mod tests {
         assert_eq!(ev.session(), Some(4));
         assert_eq!(ev.at(), Time::from_secs_f64(3.0));
         assert_eq!(
-            serde_json::to_string(&ev).unwrap(),
+            json(&ev),
             "{\"kind\":\"prefill_timed\",\"session\":4,\"load_secs\":0.5,\
              \"comp_secs\":0.25,\"stall_secs\":0.125,\"tier\":1,\"at\":3.0}"
         );
         // No reuse: the tier field is omitted entirely.
         let miss = EngineEvent::prefill_timed(4, 0.0, 0.25, 0.0, None, Time::from_secs_f64(3.0));
         assert_eq!(
-            serde_json::to_string(&miss).unwrap(),
+            json(&miss),
             "{\"kind\":\"prefill_timed\",\"session\":4,\"load_secs\":0.0,\
              \"comp_secs\":0.25,\"stall_secs\":0.0,\"at\":3.0}"
         );
@@ -552,14 +558,14 @@ mod tests {
         assert_eq!(crash.session(), None);
         assert_eq!(crash.category(), "fault");
         assert_eq!(
-            serde_json::to_string(&crash).unwrap(),
+            json(&crash),
             "{\"kind\":\"instance_crashed\",\"instance\":1,\"at\":3.0}"
         );
         let re = EngineEvent::turn_rerouted(9, 1, 0, Time::from_secs_f64(3.0));
         assert_eq!(re.session(), Some(9));
         assert_eq!(re.kind(), "turn_rerouted");
         assert_eq!(
-            serde_json::to_string(&re).unwrap(),
+            json(&re),
             "{\"kind\":\"turn_rerouted\",\"session\":9,\"from\":1,\"to\":0,\"at\":3.0}"
         );
         let deg = EngineEvent::degraded_recompute(9, "corrupted", Time::from_secs_f64(4.0));
@@ -573,7 +579,7 @@ mod tests {
         assert_eq!(hdr.session(), None);
         assert_eq!(hdr.category(), "overload");
         assert_eq!(
-            serde_json::to_string(&hdr).unwrap(),
+            json(&hdr),
             "{\"kind\":\"slo_config\",\"ttft_target_secs\":2.0,\"inbox_capacity\":32,\"at\":0.0}"
         );
         let shed = EngineEvent::turn_shed(7, 2, "inbox_full", Time::from_secs_f64(5.0));
@@ -581,21 +587,21 @@ mod tests {
         assert_eq!(shed.kind(), "turn_shed");
         assert_eq!(shed.category(), "overload");
         assert_eq!(
-            serde_json::to_string(&shed).unwrap(),
+            json(&shed),
             "{\"kind\":\"turn_shed\",\"session\":7,\"turn\":2,\"reason\":\"inbox_full\",\"at\":5.0}"
         );
         let lvl = EngineEvent::overload_level("normal", "recompute_only", Time::from_secs_f64(6.0));
         assert_eq!(lvl.session(), None);
         assert_eq!(lvl.kind(), "overload_level");
         assert_eq!(
-            serde_json::to_string(&lvl).unwrap(),
+            json(&lvl),
             "{\"kind\":\"overload_level\",\"from\":\"normal\",\"to\":\"recompute_only\",\"at\":6.0}"
         );
         let up = EngineEvent::scale_up(2, 3, Time::from_secs_f64(7.0));
         assert_eq!(up.session(), None);
         assert_eq!(up.category(), "overload");
         assert_eq!(
-            serde_json::to_string(&up).unwrap(),
+            json(&up),
             "{\"kind\":\"scale_up\",\"instance\":2,\"n_alive\":3,\"at\":7.0}"
         );
         let down = EngineEvent::scale_down(2, 2, Time::from_secs_f64(9.0));

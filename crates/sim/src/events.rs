@@ -7,8 +7,10 @@
 //!
 //! - the enum itself;
 //! - the accessors `kind`, `category`, `at`, `session` and `instance`;
-//! - the JSON encoding (`serde::Serialize`): `kind` first, then the
-//!   fields in declared order;
+//! - the JSON text writer, `write_json_members`: `kind` first, then the
+//!   fields in declared order, each value written by its
+//!   [`EventField`] impl through the shared scalar formatter
+//!   (`serde::text`), straight into the caller's `String`;
 //! - a static schema, `SCHEMA`: one [`EventSchema`] per variant naming
 //!   its kind, category, and each field's key, JSON type and whether it
 //!   may be absent. Trace validators check exported lines against it.
@@ -20,11 +22,10 @@
 
 use crate::Time;
 
-/// The JSON tree events encode into and schemas check.
+/// The parsed JSON tree schemas check.
 pub use serde::Value;
 
-#[doc(hidden)]
-pub use serde as __serde;
+use serde::text;
 
 /// JSON type of an encoded event field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,22 +140,27 @@ impl EventSchema {
     }
 }
 
-/// A type an event field may have: how it encodes, and its JSON type.
+/// A type an event field may have: its JSON type, and how it writes.
 pub trait EventField {
-    /// JSON type of the encoded value.
+    /// JSON type of the written value.
     const TYPE: FieldType;
     /// Whether the field is an `Option` (may be absent).
     const OPTIONAL: bool = false;
-    /// The encoded value; `None` only for an absent optional field.
-    fn encode(&self) -> Option<Value>;
+    /// Whether the field has a value (`false` only for a `None`
+    /// optional field).
+    fn is_present(&self) -> bool {
+        true
+    }
+    /// Appends the field's JSON value to `out` (`null` when absent).
+    fn write_json(&self, out: &mut String);
 }
 
 macro_rules! integer_fields {
     ($($t:ty),*) => {$(
         impl EventField for $t {
             const TYPE: FieldType = FieldType::Integer;
-            fn encode(&self) -> Option<Value> {
-                Some(Value::U64(*self as u64))
+            fn write_json(&self, out: &mut String) {
+                text::write_u64(out, *self as u64);
             }
         }
     )*};
@@ -164,54 +170,54 @@ integer_fields!(u32, u64, usize);
 
 impl EventField for f64 {
     const TYPE: FieldType = FieldType::Number;
-    fn encode(&self) -> Option<Value> {
-        Some(Value::F64(*self))
+    fn write_json(&self, out: &mut String) {
+        text::write_f64(out, *self);
     }
 }
 
 impl EventField for bool {
     const TYPE: FieldType = FieldType::Bool;
-    fn encode(&self) -> Option<Value> {
-        Some(Value::Bool(*self))
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
 impl EventField for &'static str {
     const TYPE: FieldType = FieldType::String;
-    fn encode(&self) -> Option<Value> {
-        Some(Value::Str((*self).to_string()))
+    fn write_json(&self, out: &mut String) {
+        text::write_str(out, self);
     }
 }
 
 /// Virtual instants encode as fractional seconds.
 impl EventField for Time {
     const TYPE: FieldType = FieldType::Number;
-    fn encode(&self) -> Option<Value> {
-        Some(Value::F64(self.as_secs_f64()))
+    fn write_json(&self, out: &mut String) {
+        text::write_f64(out, self.as_secs_f64());
     }
 }
 
 impl<T: EventField> EventField for Option<T> {
     const TYPE: FieldType = T::TYPE;
     const OPTIONAL: bool = true;
-    fn encode(&self) -> Option<Value> {
-        self.as_ref().and_then(T::encode)
+    fn is_present(&self) -> bool {
+        self.is_some()
+    }
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
     }
 }
 
-/// Appends one encoded field: absent optional fields are skipped, or
-/// written as `null` when `nullable`.
+/// Appends one field, `key` being its `,"key":` prefix: an absent
+/// optional field is skipped, or written as `null` when `nullable`.
 #[doc(hidden)]
-pub fn push_field(
-    pairs: &mut Vec<(String, Value)>,
-    key: &str,
-    value: Option<Value>,
-    nullable: bool,
-) {
-    match value {
-        Some(v) => pairs.push((key.to_string(), v)),
-        None if nullable => pairs.push((key.to_string(), Value::Null)),
-        None => {}
+pub fn write_field<F: EventField>(out: &mut String, key: &str, value: &F, nullable: bool) {
+    if nullable || value.is_present() {
+        out.push_str(key);
+        value.write_json(out);
     }
 }
 
@@ -249,8 +255,11 @@ pub fn push_field(
 /// assert_eq!(ev.category(), "cache");
 /// assert_eq!(ev.session(), Some(3));
 /// assert_eq!(ev.instance(), None);
+/// let mut json = String::from("{");
+/// ev.write_json_members(&mut json);
+/// json.push('}');
 /// assert_eq!(
-///     serde_json::to_string(&ev).unwrap(),
+///     json,
 ///     r#"{"kind":"saved","session":3,"size":10,"queue_pos":null,"at":0.0}"#
 /// );
 /// assert_eq!(ToyEvent::SCHEMA[0].fields[1].key, "size");
@@ -258,7 +267,9 @@ pub fn push_field(
 ///
 /// Every row must have an `at: Time` field. `session()` returns the
 /// row's `session` field and `instance()` its `instance` field (plain or
-/// `Option`), or `None` for rows without one.
+/// `Option`), or `None` for rows without one. Kinds and keys are written
+/// as they are spelled in the table, unescaped, so they must be plain
+/// identifiers.
 #[macro_export]
 macro_rules! event_table {
     (
@@ -354,28 +365,22 @@ macro_rules! event_table {
                     })*
                 }
             }
-        }
 
-        impl $crate::events::__serde::Serialize for $Enum {
-            /// Serializes as a tagged object: `kind` first, then the
-            /// fields in declared order.
-            fn to_value(&self) -> $crate::events::Value {
+            /// Appends the event as JSON object members, without the
+            /// enclosing braces (so a trace record can write its envelope
+            /// first): `kind` first, then the fields in declared order.
+            pub fn write_json_members(&self, out: &mut String) {
                 match *self {
                     $($Enum::$Variant { $($field),* } => {
-                        let mut pairs = Vec::with_capacity(1 + [$(stringify!($field)),*].len());
-                        pairs.push((
-                            "kind".to_string(),
-                            $crate::events::Value::Str($kind.to_string()),
-                        ));
+                        out.push_str(concat!("\"kind\":\"", $kind, "\""));
                         $(
-                            $crate::events::push_field(
-                                &mut pairs,
-                                $crate::__event_key!($field $(, $key)?),
-                                $crate::events::EventField::encode(&$field),
+                            $crate::events::write_field(
+                                out,
+                                concat!(",\"", $crate::__event_key!($field $(, $key)?), "\":"),
+                                &$field,
                                 $crate::__event_nullable!($($null)?),
                             );
                         )*
-                        $crate::events::Value::Object(pairs)
                     })*
                 }
             }
@@ -530,7 +535,23 @@ mod tests {
         );
         assert_eq!(Absence::of(Option::<u64>::OPTIONAL, true), Absence::Null);
         assert_eq!(<Option<Time> as EventField>::TYPE, FieldType::Number);
-        assert_eq!(Some(3u32).encode(), Some(Value::U64(3)));
-        assert_eq!(None::<u32>.encode(), None);
+    }
+
+    fn written(field: &impl EventField, nullable: bool) -> String {
+        let mut out = String::new();
+        write_field(&mut out, ",\"k\":", field, nullable);
+        out
+    }
+
+    #[test]
+    fn fields_write_their_json_values() {
+        assert_eq!(written(&3u32, false), ",\"k\":3");
+        assert_eq!(written(&0.5f64, false), ",\"k\":0.5");
+        assert_eq!(written(&true, false), ",\"k\":true");
+        assert_eq!(written(&"a\"b", false), ",\"k\":\"a\\\"b\"");
+        assert_eq!(written(&Time::from_millis(1_500), false), ",\"k\":1.5");
+        assert_eq!(written(&Some(3u32), false), ",\"k\":3");
+        assert_eq!(written(&None::<u32>, false), "");
+        assert_eq!(written(&None::<u32>, true), ",\"k\":null");
     }
 }

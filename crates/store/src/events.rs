@@ -20,7 +20,6 @@
 //! [`StoreEvent::WriteBufferStall`]) are emitted by the engine itself
 //! because only the transfer stage knows the link timings involved.
 
-use serde::Value;
 use sim::events::{EventField, FieldType};
 use sim::Time;
 
@@ -38,12 +37,12 @@ pub enum FetchKind {
 /// Serialized as its lowercase label (`"demand"`, `"prefetch"`).
 impl EventField for FetchKind {
     const TYPE: FieldType = FieldType::String;
-    fn encode(&self) -> Option<Value> {
+    fn write_json(&self, out: &mut String) {
         let label = match self {
             FetchKind::Demand => "demand",
             FetchKind::Prefetch => "prefetch",
         };
-        Some(Value::Str(label.to_string()))
+        label.write_json(out);
     }
 }
 
@@ -51,8 +50,8 @@ impl EventField for FetchKind {
 /// records carry the index→name mapping.
 impl EventField for TierId {
     const TYPE: FieldType = FieldType::Integer;
-    fn encode(&self) -> Option<Value> {
-        Some(Value::U64(self.0 as u64))
+    fn write_json(&self, out: &mut String) {
+        self.0.write_json(out);
     }
 }
 
@@ -401,6 +400,14 @@ impl StoreObserver for StoreEventLog {
 mod tests {
     use super::*;
 
+    /// The event as a standalone JSON object.
+    fn json(ev: &StoreEvent) -> String {
+        let mut out = String::from("{");
+        ev.write_json_members(&mut out);
+        out.push('}');
+        out
+    }
+
     #[test]
     fn log_collects_and_drains() {
         let mut log = StoreEventLog::new();
@@ -435,9 +442,8 @@ mod tests {
             instance: None,
             at: Time::from_secs_f64(1.5),
         };
-        let json = serde_json::to_string(&ev).unwrap();
         assert_eq!(
-            json,
+            json(&ev),
             "{\"kind\":\"promoted\",\"session\":9,\"bytes\":1000,\
              \"fetch\":\"prefetch\",\"from\":1,\"to\":0,\"queue_pos\":2,\"at\":1.5}"
         );
@@ -452,7 +458,7 @@ mod tests {
             at: Time::from_secs_f64(1.5),
         };
         assert_eq!(
-            serde_json::to_string(&tagged).unwrap(),
+            json(&tagged),
             "{\"kind\":\"promoted\",\"session\":9,\"bytes\":1000,\
              \"fetch\":\"prefetch\",\"from\":1,\"to\":0,\"queue_pos\":2,\
              \"instance\":3,\"at\":1.5}"
@@ -463,7 +469,7 @@ mod tests {
             at: Time::ZERO,
         };
         assert_eq!(
-            serde_json::to_string(&gauge).unwrap(),
+            json(&gauge),
             "{\"kind\":\"occupancy\",\"tier\":0,\"used_bytes\":7,\"at\":0.0}"
         );
         assert_eq!(gauge.category(), "gauge");
@@ -482,7 +488,7 @@ mod tests {
         assert_eq!(ev.category(), "gauge");
         assert_eq!(ev.session(), None);
         assert_eq!(
-            serde_json::to_string(&ev).unwrap(),
+            json(&ev),
             "{\"kind\":\"tier_config\",\"tier\":1,\"name\":\"pooled\",\
              \"capacity\":64,\"at\":0.0}"
         );
@@ -500,7 +506,7 @@ mod tests {
         assert_eq!(hit.category(), "cache");
         assert_eq!(hit.session(), Some(3));
         assert_eq!(
-            serde_json::to_string(&hit).unwrap(),
+            json(&hit),
             "{\"kind\":\"block_dedup_hit\",\"session\":3,\
              \"matched_blocks\":5,\"bytes\":640,\"at\":2.5}"
         );
@@ -514,7 +520,7 @@ mod tests {
         assert_eq!(evicted.category(), "tiering");
         assert_eq!(evicted.session(), None);
         assert_eq!(
-            serde_json::to_string(&evicted).unwrap(),
+            json(&evicted),
             "{\"kind\":\"block_evicted\",\"blocks\":2,\"bytes\":320,\
              \"tier\":1,\"refs\":0,\"at\":0.0}"
         );
@@ -532,7 +538,7 @@ mod tests {
         };
         assert_eq!(div.category(), "cache");
         assert_eq!(
-            serde_json::to_string(&div).unwrap(),
+            json(&div),
             "{\"kind\":\"block_diverged\",\"session\":8,\"at_block\":2,\
              \"released_blocks\":3,\"at\":0.0}"
         );

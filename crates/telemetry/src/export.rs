@@ -28,7 +28,7 @@
 use std::collections::{HashMap, HashSet};
 
 use engine::EngineEvent;
-use serde::{Serialize, Value};
+use serde::{text, Serialize, Value};
 use store::{FetchKind, StoreEvent};
 
 use crate::health::{AlertEvent, HealthSignals};
@@ -40,7 +40,7 @@ use crate::window::WindowSeries;
 pub fn to_jsonl(records: &[TraceRecord]) -> String {
     let mut out = String::new();
     for rec in records {
-        out.push_str(&serde_json::to_string(rec).expect("trace records always serialize"));
+        rec.write_json(&mut out);
         out.push('\n');
     }
     out
@@ -55,82 +55,329 @@ fn pid_of(rec: &TraceRecord) -> u64 {
     rec.instance.map_or(DEFAULT_PID, |i| u64::from(i) + 1)
 }
 
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+/// One JSON object being appended to a text buffer: members land in
+/// call order, and [`JsonObject::close`] ends it. Keys are literals
+/// written unescaped; values go through the shared scalar formatter.
+#[must_use = "an object must be closed"]
+struct JsonObject<'a> {
+    out: &'a mut String,
+    empty: bool,
 }
 
-fn micros(secs: f64) -> Value {
-    Value::F64(secs * 1e6)
-}
-
-/// A complete ("X") span on a session track.
-fn span(name: &str, cat: &str, pid: u64, tid: u64, start_secs: f64, end_secs: f64) -> Value {
-    obj(vec![
-        ("name", Value::Str(name.to_string())),
-        ("cat", Value::Str(cat.to_string())),
-        ("ph", Value::Str("X".to_string())),
-        ("ts", micros(start_secs)),
-        ("dur", micros((end_secs - start_secs).max(0.0))),
-        ("pid", Value::U64(pid)),
-        ("tid", Value::U64(tid)),
-    ])
-}
-
-/// A thread-scoped instant ("i") marker on a session track.
-fn instant(name: &str, cat: &str, pid: u64, tid: u64, at_secs: f64) -> Value {
-    obj(vec![
-        ("name", Value::Str(name.to_string())),
-        ("cat", Value::Str(cat.to_string())),
-        ("ph", Value::Str("i".to_string())),
-        ("s", Value::Str("t".to_string())),
-        ("ts", micros(at_secs)),
-        ("pid", Value::U64(pid)),
-        ("tid", Value::U64(tid)),
-    ])
-}
-
-/// A counter ("C") sample.
-fn counter(name: &str, pid: u64, at_secs: f64, args: Vec<(&str, Value)>) -> Value {
-    obj(vec![
-        ("name", Value::Str(name.to_string())),
-        ("ph", Value::Str("C".to_string())),
-        ("ts", micros(at_secs)),
-        ("pid", Value::U64(pid)),
-        ("args", obj(args)),
-    ])
-}
-
-/// One endpoint of a flow arrow: `ph: "s"` opens it at the producer,
-/// `ph: "f"` (binding to the enclosing slice's end, `bp: "e"`) closes
-/// it at the consumer. Perfetto draws the arrow between the two slices.
-fn flow(phase: &str, id: u64, pid: u64, tid: u64, at_secs: f64) -> Value {
-    let mut pairs = vec![
-        ("name", Value::Str("kv_transfer".to_string())),
-        ("cat", Value::Str("tiering".to_string())),
-        ("ph", Value::Str(phase.to_string())),
-        ("id", Value::U64(id)),
-        ("ts", micros(at_secs)),
-        ("pid", Value::U64(pid)),
-        ("tid", Value::U64(tid)),
-    ];
-    if phase == "f" {
-        pairs.push(("bp", Value::Str("e".to_string())));
+impl<'a> JsonObject<'a> {
+    fn open(out: &'a mut String) -> Self {
+        out.push('{');
+        JsonObject { out, empty: true }
     }
-    obj(pairs)
+
+    /// Writes `"key":` (after a comma unless first) and returns the
+    /// buffer for the value.
+    fn key(&mut self, key: &'static str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        self.out
+    }
+
+    fn str(mut self, key: &'static str, value: &str) -> Self {
+        text::write_str(self.key(key), value);
+        self
+    }
+
+    fn u64(mut self, key: &'static str, value: u64) -> Self {
+        text::write_u64(self.key(key), value);
+        self
+    }
+
+    fn f64(mut self, key: &'static str, value: f64) -> Self {
+        text::write_f64(self.key(key), value);
+        self
+    }
+
+    /// A nested object whose members `members` writes.
+    fn object(
+        mut self,
+        key: &'static str,
+        members: impl FnOnce(JsonObject<'_>) -> JsonObject<'_>,
+    ) -> Self {
+        members(JsonObject::open(self.key(key))).close();
+        self
+    }
+
+    fn close(self) {
+        self.out.push('}');
+    }
 }
 
-/// A metadata ("M") event naming a process or a thread.
-fn metadata(what: &str, pid: u64, tid: Option<u64>, label: &str) -> Value {
-    let mut pairs = vec![
-        ("name", Value::Str(what.to_string())),
-        ("ph", Value::Str("M".to_string())),
-        ("pid", Value::U64(pid)),
-    ];
-    if let Some(tid) = tid {
-        pairs.push(("tid", Value::U64(tid)));
+/// A Chrome trace-event file being written: the `{"traceEvents":[`
+/// envelope is open, and each event is appended as text the moment it is
+/// known, so no event list is held before writing.
+struct ChromeTrace {
+    out: String,
+    events: usize,
+}
+
+impl ChromeTrace {
+    fn new() -> Self {
+        ChromeTrace {
+            out: String::from("{\"traceEvents\":["),
+            events: 0,
+        }
     }
-    pairs.push(("args", obj(vec![("name", Value::Str(label.to_string()))])));
-    obj(pairs)
+
+    /// Starts the next event.
+    fn event(&mut self) -> JsonObject<'_> {
+        if self.events > 0 {
+            self.out.push(',');
+        }
+        self.events += 1;
+        JsonObject::open(&mut self.out)
+    }
+
+    /// Closes the envelope.
+    fn finish(mut self) -> String {
+        self.out.push_str("],\"displayTimeUnit\":\"ms\"}");
+        self.out
+    }
+
+    /// A complete ("X") span on a session track; `ts`/`dur` in µs.
+    fn span(&mut self, name: &str, cat: &str, pid: u64, tid: u64, start_secs: f64, end_secs: f64) {
+        self.event()
+            .str("name", name)
+            .str("cat", cat)
+            .str("ph", "X")
+            .f64("ts", start_secs * 1e6)
+            .f64("dur", (end_secs - start_secs).max(0.0) * 1e6)
+            .u64("pid", pid)
+            .u64("tid", tid)
+            .close();
+    }
+
+    /// A thread-scoped instant ("i") marker on a session track.
+    fn instant(&mut self, name: &str, cat: &str, pid: u64, tid: u64, at_secs: f64) {
+        self.event()
+            .str("name", name)
+            .str("cat", cat)
+            .str("ph", "i")
+            .str("s", "t")
+            .f64("ts", at_secs * 1e6)
+            .u64("pid", pid)
+            .u64("tid", tid)
+            .close();
+    }
+
+    /// A counter ("C") sample of one series.
+    fn counter(&mut self, name: &str, pid: u64, at_secs: f64, series: &'static str, value: u64) {
+        self.event()
+            .str("name", name)
+            .str("ph", "C")
+            .f64("ts", at_secs * 1e6)
+            .u64("pid", pid)
+            .object("args", |args| args.u64(series, value))
+            .close();
+    }
+
+    /// One endpoint of a flow arrow: `ph: "s"` opens it at the producer,
+    /// `ph: "f"` (binding to the enclosing slice's end, `bp: "e"`) closes
+    /// it at the consumer. Perfetto draws the arrow between the two slices.
+    fn flow(&mut self, phase: &str, id: u64, pid: u64, tid: u64, at_secs: f64) {
+        let ev = self
+            .event()
+            .str("name", "kv_transfer")
+            .str("cat", "tiering")
+            .str("ph", phase)
+            .u64("id", id)
+            .f64("ts", at_secs * 1e6)
+            .u64("pid", pid)
+            .u64("tid", tid);
+        if phase == "f" { ev.str("bp", "e") } else { ev }.close();
+    }
+
+    /// A metadata ("M") event naming a process or a thread.
+    fn metadata(&mut self, what: &str, pid: u64, tid: Option<u64>, label: &str) {
+        let ev = self
+            .event()
+            .str("name", what)
+            .str("ph", "M")
+            .u64("pid", pid);
+        match tid {
+            Some(tid) => ev.u64("tid", tid),
+            None => ev,
+        }
+        .object("args", |args| args.str("name", label))
+        .close();
+    }
+
+    /// Writes the events every Chrome-trace flavour shares.
+    fn write_records(&mut self, records: &[TraceRecord], alerts: &[AlertEvent]) {
+        let mut named_pids: Vec<u64> = Vec::new();
+        let mut named_threads: HashSet<(u64, u64)> = HashSet::new();
+        // Open span starts, keyed by session: (pid at start, start time).
+        let mut queued_at: HashMap<u64, (u64, f64)> = HashMap::new();
+        let mut admitted_at: HashMap<u64, (u64, f64)> = HashMap::new();
+        let mut prefill_done_at: HashMap<u64, (u64, f64)> = HashMap::new();
+        let mut prefetch_at: HashMap<u64, (u64, f64)> = HashMap::new();
+        // Finished prefetch stagings awaiting their consumer: session →
+        // (pid of the staging span, staging end time). Consumed by the
+        // next admission to draw the causal prefetch → prefill flow arrow.
+        let mut prefetch_done: HashMap<u64, (u64, f64)> = HashMap::new();
+        let mut flow_ids: u64 = 0;
+        // Tier index → occupancy track name: the stack's display name
+        // once a `tier_config` record announced it, else `t{index}`.
+        let mut tier_tracks: HashMap<usize, String> = HashMap::new();
+
+        for rec in records {
+            let pid = pid_of(rec);
+            if !named_pids.contains(&pid) {
+                named_pids.push(pid);
+                let label = if pid == DEFAULT_PID {
+                    "cachedattention".to_string()
+                } else {
+                    format!("cachedattention instance {}", pid - 1)
+                };
+                self.metadata("process_name", pid, None, &label);
+            }
+            if let Some(sid) = rec.ev.session() {
+                if named_threads.insert((pid, sid)) {
+                    self.metadata("thread_name", pid, Some(sid), &format!("session {sid}"));
+                }
+            }
+            let at = rec.ev.at().as_secs_f64();
+            match rec.ev {
+                TraceEvent::Engine(ev) => match ev {
+                    EngineEvent::TurnArrived { session, .. } => {
+                        queued_at.insert(session, (pid, at));
+                    }
+                    EngineEvent::Admitted { session, .. } => {
+                        if let Some((p, start)) = queued_at.remove(&session) {
+                            self.span("queued", "sched", p, session, start, at);
+                        }
+                        if let Some((p, end)) = prefetch_done.remove(&session) {
+                            // Causal edge: the staged KV this admission
+                            // consumes came from that prefetch.
+                            flow_ids += 1;
+                            self.flow("s", flow_ids, p, session, end);
+                            self.flow("f", flow_ids, pid, session, at);
+                        }
+                        admitted_at.insert(session, (pid, at));
+                    }
+                    EngineEvent::PrefillDone { session, .. } => {
+                        if let Some((p, start)) = admitted_at.remove(&session) {
+                            self.span("prefill", "gpu", p, session, start, at);
+                        }
+                        prefill_done_at.insert(session, (pid, at));
+                    }
+                    EngineEvent::Retired { session, .. } => {
+                        if let Some((p, start)) = prefill_done_at.remove(&session) {
+                            self.span("decode", "gpu", p, session, start, at);
+                        }
+                    }
+                    EngineEvent::HbmReserved { reserved_bytes, .. } => {
+                        self.counter("hbm_reserved_bytes", pid, at, "reserved", reserved_bytes);
+                    }
+                    EngineEvent::PrefillTimed {
+                        session,
+                        stall_secs,
+                        ..
+                    } => {
+                        // The visible fetch stall nests inside the upcoming
+                        // `prefill` slice (the stall leads, compute follows).
+                        if stall_secs > 0.0 {
+                            self.span("fetch_stall", "gpu", pid, session, at, at + stall_secs);
+                        }
+                    }
+                    EngineEvent::Truncated { session, .. }
+                    | EngineEvent::Consulted { session, .. }
+                    | EngineEvent::Deferred { session, .. }
+                    | EngineEvent::TurnRerouted { session, .. }
+                    | EngineEvent::DegradedRecompute { session, .. } => {
+                        self.instant(ev.kind(), ev.category(), pid, session, at);
+                    }
+                    EngineEvent::TurnShed { session, .. } => {
+                        // A shed closes the turn before it ever runs: end
+                        // the queued span (the wait the admission
+                        // controller cut short) and mark the rejection on
+                        // the session lane.
+                        if let Some((p, start)) = queued_at.remove(&session) {
+                            self.span("queued", "sched", p, session, start, at);
+                        }
+                        self.instant(ev.kind(), ev.category(), pid, session, at);
+                    }
+                    EngineEvent::InstanceCrashed { .. }
+                    | EngineEvent::ScaleUp { .. }
+                    | EngineEvent::ScaleDown { .. }
+                    | EngineEvent::OverloadLevelChanged { .. } => {
+                        // No session track: mark the crash / fleet change
+                        // on the instance's tid-0 lane.
+                        self.instant(ev.kind(), ev.category(), pid, 0, at);
+                    }
+                    EngineEvent::SloConfig { .. } => {}
+                },
+                TraceEvent::Store(ev) => match ev {
+                    StoreEvent::TierConfig { tier, name, .. } => {
+                        tier_tracks.insert(tier.0, format!("store_occupancy_bytes:{name}"));
+                    }
+                    StoreEvent::Occupancy {
+                        tier, used_bytes, ..
+                    } => {
+                        let track = tier_tracks
+                            .entry(tier.0)
+                            .or_insert_with(|| format!("store_occupancy_bytes:t{}", tier.0));
+                        self.counter(track, pid, at, "used", used_bytes);
+                    }
+                    StoreEvent::Promoted {
+                        session,
+                        kind: FetchKind::Prefetch,
+                        ..
+                    } => {
+                        prefetch_at.insert(session, (pid, at));
+                    }
+                    StoreEvent::PrefetchCompleted { session, .. } => {
+                        if let Some((p, start)) = prefetch_at.remove(&session) {
+                            self.span("prefetch", "tiering", p, session, start, at);
+                            prefetch_done.insert(session, (p, at));
+                        }
+                    }
+                    StoreEvent::WriteBufferStall { session, until, .. } => {
+                        // The stall has real extent — admission is blocked
+                        // from `at` until the buffer drains at `until` — so
+                        // it renders as a duration slice, not an instant.
+                        let until = until.as_secs_f64();
+                        self.span("write_buffer_stall", "stall", pid, session, at, until);
+                    }
+                    other => {
+                        if let Some(sid) = other.session() {
+                            self.instant(other.kind(), other.category(), pid, sid, at);
+                        }
+                    }
+                },
+            }
+        }
+        for a in alerts {
+            self.event()
+                .str("name", &a.rule)
+                .str("cat", "alert")
+                .str("ph", "i")
+                .str("s", "g")
+                .f64("ts", a.at_secs * 1e6)
+                .u64("pid", DEFAULT_PID)
+                .u64("tid", 0)
+                .object("args", |args| {
+                    args.str("kind", a.kind.label())
+                        .str("signal", &a.signal)
+                        .f64("value", a.value)
+                        .u64("window", a.window as u64)
+                })
+                .close();
+        }
+        if self.events == 0 {
+            self.metadata("process_name", DEFAULT_PID, None, "cachedattention");
+        }
+    }
 }
 
 /// Renders records as a Chrome trace-event file (loadable in Perfetto).
@@ -159,225 +406,9 @@ pub fn to_chrome_trace(records: &[TraceRecord]) -> String {
 /// draws a full-height marker at the window boundary where the rule
 /// transitioned, with the deciding signal value in its args.
 pub fn to_chrome_trace_with_alerts(records: &[TraceRecord], alerts: &[AlertEvent]) -> String {
-    chrome_envelope(chrome_events(records, alerts))
-}
-
-/// Builds the trace-event list shared by every Chrome-trace flavour.
-fn chrome_events(records: &[TraceRecord], alerts: &[AlertEvent]) -> Vec<Value> {
-    let mut events: Vec<Value> = Vec::new();
-    let mut named_pids: Vec<u64> = Vec::new();
-    let mut named_threads: HashSet<(u64, u64)> = HashSet::new();
-    // Open span starts, keyed by session: (pid at start, start time).
-    let mut queued_at: HashMap<u64, (u64, f64)> = HashMap::new();
-    let mut admitted_at: HashMap<u64, (u64, f64)> = HashMap::new();
-    let mut prefill_done_at: HashMap<u64, (u64, f64)> = HashMap::new();
-    let mut prefetch_at: HashMap<u64, (u64, f64)> = HashMap::new();
-    // Finished prefetch stagings awaiting their consumer: session →
-    // (pid of the staging span, staging end time). Consumed by the next
-    // admission to draw the causal prefetch → prefill flow arrow.
-    let mut prefetch_done: HashMap<u64, (u64, f64)> = HashMap::new();
-    let mut flow_ids: u64 = 0;
-    // Tier index → display name, learned from `tier_config` records.
-    let mut tier_labels: HashMap<usize, &'static str> = HashMap::new();
-
-    for rec in records {
-        let pid = pid_of(rec);
-        if !named_pids.contains(&pid) {
-            named_pids.push(pid);
-            let label = if pid == DEFAULT_PID {
-                "cachedattention".to_string()
-            } else {
-                format!("cachedattention instance {}", pid - 1)
-            };
-            events.push(metadata("process_name", pid, None, &label));
-        }
-        if let Some(sid) = rec.ev.session() {
-            if named_threads.insert((pid, sid)) {
-                events.push(metadata(
-                    "thread_name",
-                    pid,
-                    Some(sid),
-                    &format!("session {sid}"),
-                ));
-            }
-        }
-        let at = rec.ev.at().as_secs_f64();
-        match rec.ev {
-            TraceEvent::Engine(ev) => match ev {
-                EngineEvent::TurnArrived { session, .. } => {
-                    queued_at.insert(session, (pid, at));
-                }
-                EngineEvent::Admitted { session, .. } => {
-                    if let Some((p, start)) = queued_at.remove(&session) {
-                        events.push(span("queued", "sched", p, session, start, at));
-                    }
-                    if let Some((p, end)) = prefetch_done.remove(&session) {
-                        // Causal edge: the staged KV this admission
-                        // consumes came from that prefetch.
-                        flow_ids += 1;
-                        events.push(flow("s", flow_ids, p, session, end));
-                        events.push(flow("f", flow_ids, pid, session, at));
-                    }
-                    admitted_at.insert(session, (pid, at));
-                }
-                EngineEvent::PrefillDone { session, .. } => {
-                    if let Some((p, start)) = admitted_at.remove(&session) {
-                        events.push(span("prefill", "gpu", p, session, start, at));
-                    }
-                    prefill_done_at.insert(session, (pid, at));
-                }
-                EngineEvent::Retired { session, .. } => {
-                    if let Some((p, start)) = prefill_done_at.remove(&session) {
-                        events.push(span("decode", "gpu", p, session, start, at));
-                    }
-                }
-                EngineEvent::HbmReserved { reserved_bytes, .. } => {
-                    events.push(counter(
-                        "hbm_reserved_bytes",
-                        pid,
-                        at,
-                        vec![("reserved", Value::U64(reserved_bytes))],
-                    ));
-                }
-                EngineEvent::PrefillTimed {
-                    session,
-                    stall_secs,
-                    ..
-                } => {
-                    // The visible fetch stall nests inside the upcoming
-                    // `prefill` slice (the stall leads, compute follows).
-                    if stall_secs > 0.0 {
-                        events.push(span(
-                            "fetch_stall",
-                            "gpu",
-                            pid,
-                            session,
-                            at,
-                            at + stall_secs,
-                        ));
-                    }
-                }
-                EngineEvent::Truncated { session, .. }
-                | EngineEvent::Consulted { session, .. }
-                | EngineEvent::Deferred { session, .. }
-                | EngineEvent::TurnRerouted { session, .. }
-                | EngineEvent::DegradedRecompute { session, .. } => {
-                    events.push(instant(ev.kind(), ev.category(), pid, session, at));
-                }
-                EngineEvent::TurnShed { session, .. } => {
-                    // A shed closes the turn before it ever runs: end the
-                    // queued span (the wait the admission controller cut
-                    // short) and mark the rejection on the session lane.
-                    if let Some((p, start)) = queued_at.remove(&session) {
-                        events.push(span("queued", "sched", p, session, start, at));
-                    }
-                    events.push(instant(ev.kind(), ev.category(), pid, session, at));
-                }
-                EngineEvent::InstanceCrashed { .. }
-                | EngineEvent::ScaleUp { .. }
-                | EngineEvent::ScaleDown { .. }
-                | EngineEvent::OverloadLevelChanged { .. } => {
-                    // No session track: mark the crash / fleet change on
-                    // the instance's tid-0 lane.
-                    events.push(instant(ev.kind(), ev.category(), pid, 0, at));
-                }
-                EngineEvent::SloConfig { .. } => {}
-            },
-            TraceEvent::Store(ev) => match ev {
-                StoreEvent::TierConfig { tier, name, .. } => {
-                    tier_labels.insert(tier.0, name);
-                }
-                StoreEvent::Occupancy {
-                    tier, used_bytes, ..
-                } => {
-                    let label = tier_labels
-                        .get(&tier.0)
-                        .map_or_else(|| format!("t{}", tier.0), |n| (*n).to_string());
-                    events.push(counter(
-                        &format!("store_occupancy_bytes:{label}"),
-                        pid,
-                        at,
-                        vec![("used", Value::U64(used_bytes))],
-                    ));
-                }
-                StoreEvent::Promoted {
-                    session,
-                    kind: FetchKind::Prefetch,
-                    ..
-                } => {
-                    prefetch_at.insert(session, (pid, at));
-                }
-                StoreEvent::PrefetchCompleted { session, .. } => {
-                    if let Some((p, start)) = prefetch_at.remove(&session) {
-                        events.push(span("prefetch", "tiering", p, session, start, at));
-                        prefetch_done.insert(session, (p, at));
-                    }
-                }
-                StoreEvent::WriteBufferStall { session, until, .. } => {
-                    // The stall has real extent — admission is blocked
-                    // from `at` until the buffer drains at `until` — so
-                    // it renders as a duration slice, not an instant.
-                    events.push(span(
-                        "write_buffer_stall",
-                        "stall",
-                        pid,
-                        session,
-                        at,
-                        until.as_secs_f64(),
-                    ));
-                }
-                other => {
-                    if let Some(sid) = other.session() {
-                        events.push(instant(other.kind(), other.category(), pid, sid, at));
-                    }
-                }
-            },
-        }
-    }
-    for a in alerts {
-        events.push(obj(vec![
-            ("name", Value::Str(a.rule.clone())),
-            ("cat", Value::Str("alert".to_string())),
-            ("ph", Value::Str("i".to_string())),
-            ("s", Value::Str("g".to_string())),
-            ("ts", micros(a.at_secs)),
-            ("pid", Value::U64(DEFAULT_PID)),
-            ("tid", Value::U64(0)),
-            (
-                "args",
-                obj(vec![
-                    ("kind", Value::Str(a.kind.label().to_string())),
-                    ("signal", Value::Str(a.signal.clone())),
-                    ("value", Value::F64(a.value)),
-                    ("window", Value::U64(a.window as u64)),
-                ]),
-            ),
-        ]));
-    }
-    if events.is_empty() {
-        events.push(metadata(
-            "process_name",
-            DEFAULT_PID,
-            None,
-            "cachedattention",
-        ));
-    }
-    events
-}
-
-/// Wraps trace events in the `{"traceEvents": [...]}` envelope.
-fn chrome_envelope(events: Vec<Value>) -> String {
-    // Events are written (and freed) one at a time: serializing the
-    // envelope as a single `Value` would first clone the whole tree.
-    let mut out = String::from("{\"traceEvents\":[");
-    for (i, ev) in events.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        serde_json::push_value(&mut out, &ev);
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+    let mut trace = ChromeTrace::new();
+    trace.write_records(records, alerts);
+    trace.finish()
 }
 
 /// Virtual pid of the host-time self-profile process track.
@@ -392,37 +423,36 @@ const SELFPROF_PID: u64 = 1000;
 /// origin for side-by-side magnitude reading, not causality); call count
 /// and total/mean/max ns ride in the slice args.
 pub fn to_chrome_trace_two_clock(records: &[TraceRecord], profile: &sim::SelfProfile) -> String {
-    let mut events = chrome_events(records, &[]);
-    events.push(metadata(
+    let mut trace = ChromeTrace::new();
+    trace.write_records(records, &[]);
+    trace.metadata(
         "process_name",
         SELFPROF_PID,
         None,
         "simulator host time (self-profile)",
-    ));
+    );
     for (i, s) in profile.scopes.iter().enumerate() {
         let tid = i as u64;
-        events.push(metadata("thread_name", SELFPROF_PID, Some(tid), &s.name));
-        events.push(obj(vec![
-            ("name", Value::Str(s.name.clone())),
-            ("cat", Value::Str("selfprof".to_string())),
-            ("ph", Value::Str("X".to_string())),
-            ("ts", Value::F64(0.0)),
-            ("dur", Value::F64(s.self_ns as f64 / 1e3)),
-            ("pid", Value::U64(SELFPROF_PID)),
-            ("tid", Value::U64(tid)),
-            (
-                "args",
-                obj(vec![
-                    ("calls", Value::U64(s.calls)),
-                    ("total_ns", Value::U64(s.total_ns)),
-                    ("self_ns", Value::U64(s.self_ns)),
-                    ("mean_ns", Value::U64(s.mean_ns)),
-                    ("max_ns", Value::U64(s.max_ns)),
-                ]),
-            ),
-        ]));
+        trace.metadata("thread_name", SELFPROF_PID, Some(tid), &s.name);
+        trace
+            .event()
+            .str("name", &s.name)
+            .str("cat", "selfprof")
+            .str("ph", "X")
+            .f64("ts", 0.0)
+            .f64("dur", s.self_ns as f64 / 1e3)
+            .u64("pid", SELFPROF_PID)
+            .u64("tid", tid)
+            .object("args", |args| {
+                args.u64("calls", s.calls)
+                    .u64("total_ns", s.total_ns)
+                    .u64("self_ns", s.self_ns)
+                    .u64("mean_ns", s.mean_ns)
+                    .u64("max_ns", s.max_ns)
+            })
+            .close();
     }
-    chrome_envelope(events)
+    trace.finish()
 }
 
 /// Renders the windowed plane as JSON Lines: a `window_config` header
@@ -451,16 +481,16 @@ pub fn windows_to_jsonl(
         out.push_str(&serde_json::to_string(&v).expect("window records always serialize"));
         out.push('\n');
     };
-    line(obj(vec![
-        ("kind", Value::Str("window_config".to_string())),
-        ("width_secs", Value::F64(series.width_secs)),
-        ("windows", Value::U64(series.windows.len() as u64)),
+    line(Value::Object(vec![
+        ("kind".into(), Value::Str("window_config".to_string())),
+        ("width_secs".into(), Value::F64(series.width_secs)),
+        ("windows".into(), Value::U64(series.windows.len() as u64)),
         (
-            "slo_ttft_p99_secs",
+            "slo_ttft_p99_secs".into(),
             Value::F64(signals.slo.ttft_p99_target_secs),
         ),
         (
-            "tiers",
+            "tiers".into(),
             Value::Array(
                 series
                     .tier_names
@@ -475,10 +505,10 @@ pub fn windows_to_jsonl(
             .tiers
             .iter()
             .map(|t| {
-                obj(vec![
-                    ("tier", Value::U64(t.tier as u64)),
+                Value::Object(vec![
+                    ("tier".into(), Value::U64(t.tier as u64)),
                     (
-                        "name",
+                        "name".into(),
                         Value::Str(
                             series
                                 .tier_names
@@ -487,11 +517,17 @@ pub fn windows_to_jsonl(
                                 .unwrap_or_else(|| format!("t{}", t.tier)),
                         ),
                     ),
-                    ("store_hits", Value::U64(t.store_hits)),
-                    ("occupancy_end_bytes", Value::F64(t.occupancy_end_bytes)),
-                    ("occupancy_peak_bytes", Value::F64(t.occupancy_peak_bytes)),
+                    ("store_hits".into(), Value::U64(t.store_hits)),
                     (
-                        "occupancy_slope_bytes_per_sec",
+                        "occupancy_end_bytes".into(),
+                        Value::F64(t.occupancy_end_bytes),
+                    ),
+                    (
+                        "occupancy_peak_bytes".into(),
+                        Value::F64(t.occupancy_peak_bytes),
+                    ),
+                    (
+                        "occupancy_slope_bytes_per_sec".into(),
                         Value::F64(
                             p.occupancy_slope_bytes_per_sec
                                 .get(t.tier)
@@ -506,36 +542,42 @@ pub fn windows_to_jsonl(
             .instances
             .iter()
             .map(|i| {
-                obj(vec![
-                    ("instance", Value::U64(u64::from(i.instance))),
-                    ("turns_arrived", Value::U64(i.counters.turns_arrived)),
-                    ("admitted", Value::U64(i.counters.admitted)),
-                    ("retired", Value::U64(i.counters.retired)),
+                Value::Object(vec![
+                    ("instance".into(), Value::U64(u64::from(i.instance))),
+                    ("turns_arrived".into(), Value::U64(i.counters.turns_arrived)),
+                    ("admitted".into(), Value::U64(i.counters.admitted)),
+                    ("retired".into(), Value::U64(i.counters.retired)),
                 ])
             })
             .collect();
-        line(obj(vec![
-            ("kind", Value::Str("window".to_string())),
-            ("index", Value::U64(w.index as u64)),
-            ("start_secs", Value::F64(w.start_secs)),
-            ("end_secs", Value::F64(w.end_secs)),
-            ("counters", w.counters.to_value()),
-            ("queue_depth_end", Value::U64(w.queue_depth_end)),
-            ("queue_depth_peak", Value::U64(w.queue_depth_peak)),
+        line(Value::Object(vec![
+            ("kind".into(), Value::Str("window".to_string())),
+            ("index".into(), Value::U64(w.index as u64)),
+            ("start_secs".into(), Value::F64(w.start_secs)),
+            ("end_secs".into(), Value::F64(w.end_secs)),
+            ("counters".into(), w.counters.to_value()),
+            ("queue_depth_end".into(), Value::U64(w.queue_depth_end)),
+            ("queue_depth_peak".into(), Value::U64(w.queue_depth_peak)),
             (
-                "hbm_reserved_end_bytes",
+                "hbm_reserved_end_bytes".into(),
                 Value::F64(w.hbm_reserved_end_bytes),
             ),
-            ("arrival_rate_per_sec", Value::F64(p.arrival_rate_per_sec)),
-            ("ttft_p99_secs", p.ttft_p99_secs.to_value()),
-            ("slo_burn_rate", p.slo_burn_rate.to_value()),
-            ("fault_rate_per_sec", Value::F64(p.fault_rate_per_sec)),
-            ("ttft", w.ttft.to_value()),
-            ("queue_wait", w.queue_wait.to_value()),
-            ("fetch_stall", w.fetch_stall.to_value()),
-            ("prefetch_latency", w.prefetch_latency.to_value()),
-            ("tiers", Value::Array(tiers)),
-            ("instances", Value::Array(instances)),
+            (
+                "arrival_rate_per_sec".into(),
+                Value::F64(p.arrival_rate_per_sec),
+            ),
+            ("ttft_p99_secs".into(), p.ttft_p99_secs.to_value()),
+            ("slo_burn_rate".into(), p.slo_burn_rate.to_value()),
+            (
+                "fault_rate_per_sec".into(),
+                Value::F64(p.fault_rate_per_sec),
+            ),
+            ("ttft".into(), w.ttft.to_value()),
+            ("queue_wait".into(), w.queue_wait.to_value()),
+            ("fetch_stall".into(), w.fetch_stall.to_value()),
+            ("prefetch_latency".into(), w.prefetch_latency.to_value()),
+            ("tiers".into(), Value::Array(tiers)),
+            ("instances".into(), Value::Array(instances)),
         ]));
     }
     for a in alerts {

@@ -4,12 +4,13 @@
 //! and drains the store's [`StoreEvent`]s after every interaction, so an
 //! observer sees both streams interleaved in commit order. A
 //! [`TraceRecord`] stamps each event with that global order (`seq`) plus
-//! its source and category, which is what the exporters serialize.
+//! its source and category, and writes itself as one JSONL line.
 //! [`TRACE_SCHEMA`] is the generated schema of both event tables, and
 //! [`check_record`] validates one exported line against it.
 
 use engine::EngineEvent;
-use serde::{Serialize, Value};
+use serde::text;
+use serde::Value;
 use sim::events::EventSchema;
 use sim::Time;
 use store::StoreEvent;
@@ -98,36 +99,29 @@ pub struct TraceRecord {
     pub ev: TraceEvent,
 }
 
-impl Serialize for TraceRecord {
-    /// Serializes as the event's tagged object with `seq`, `source`,
-    /// `category` (and `instance`, when attributed) prepended, so every
-    /// JSONL line is self-describing. An event that names its own
+impl TraceRecord {
+    /// Appends the record as one JSON object: `seq`, `source`, `category`
+    /// (and `instance`, when attributed), then the event's members, so
+    /// every JSONL line is self-describing. An event that names its own
     /// instance carries the attribution in its payload, so the key is
     /// written once.
-    fn to_value(&self) -> Value {
-        let inner = match &self.ev {
-            TraceEvent::Engine(e) => e.to_value(),
-            TraceEvent::Store(e) => e.to_value(),
-        };
-        let mut pairs = vec![
-            ("seq".to_string(), Value::U64(self.seq)),
-            (
-                "source".to_string(),
-                Value::Str(self.ev.source().to_string()),
-            ),
-            (
-                "category".to_string(),
-                Value::Str(self.ev.category().to_string()),
-            ),
-        ];
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"seq\":");
+        text::write_u64(out, self.seq);
+        out.push_str(",\"source\":");
+        text::write_str(out, self.ev.source());
+        out.push_str(",\"category\":");
+        text::write_str(out, self.ev.category());
         if let (Some(inst), None) = (self.instance, self.ev.instance()) {
-            pairs.push(("instance".to_string(), Value::U64(u64::from(inst))));
+            out.push_str(",\"instance\":");
+            text::write_u64(out, u64::from(inst));
         }
-        match inner {
-            Value::Object(fields) => pairs.extend(fields),
-            other => pairs.push(("event".to_string(), other)),
+        out.push(',');
+        match &self.ev {
+            TraceEvent::Engine(e) => e.write_json_members(out),
+            TraceEvent::Store(e) => e.write_json_members(out),
         }
-        Value::Object(pairs)
+        out.push('}');
     }
 }
 
@@ -188,6 +182,12 @@ mod tests {
     use engine::ConsultClass;
     use store::TierId;
 
+    fn json(rec: &TraceRecord) -> String {
+        let mut out = String::new();
+        rec.write_json(&mut out);
+        out
+    }
+
     #[test]
     fn records_are_self_describing_jsonl_lines() {
         let rec = TraceRecord {
@@ -200,9 +200,8 @@ mod tests {
                 Time::from_secs_f64(1.0),
             )),
         };
-        let json = serde_json::to_string(&rec).unwrap();
         assert_eq!(
-            json,
+            json(&rec),
             "{\"seq\":3,\"source\":\"engine\",\"category\":\"sched\",\
              \"kind\":\"consulted\",\"session\":7,\"class\":\"hit_fast\",\
              \"reused\":500,\"at\":1.0}"
@@ -221,9 +220,8 @@ mod tests {
                 Time::from_secs_f64(1.0),
             )),
         };
-        let json = serde_json::to_string(&rec).unwrap();
         assert_eq!(
-            json,
+            json(&rec),
             "{\"seq\":4,\"source\":\"engine\",\"category\":\"sched\",\
              \"instance\":2,\"kind\":\"consulted\",\"session\":7,\
              \"class\":\"hit_fast\",\"reused\":500,\"at\":1.0}"
@@ -244,7 +242,7 @@ mod tests {
             }),
         };
         assert_eq!(
-            serde_json::to_string(&rec).unwrap(),
+            json(&rec),
             "{\"seq\":5,\"source\":\"store\",\"category\":\"tiering\",\
              \"kind\":\"prefetch_completed\",\"session\":7,\"instance\":1,\"at\":2.0}"
         );
@@ -254,7 +252,7 @@ mod tests {
             ev: TraceEvent::Engine(EngineEvent::instance_crashed(1, Time::from_secs_f64(3.0))),
         };
         assert_eq!(
-            serde_json::to_string(&crash).unwrap(),
+            json(&crash),
             "{\"seq\":6,\"source\":\"engine\",\"category\":\"fault\",\
              \"kind\":\"instance_crashed\",\"instance\":1,\"at\":3.0}"
         );
@@ -268,7 +266,7 @@ mod tests {
             }),
         };
         assert_eq!(
-            serde_json::to_string(&unowned).unwrap(),
+            json(&unowned),
             "{\"seq\":7,\"source\":\"store\",\"category\":\"tiering\",\"instance\":0,\
              \"kind\":\"prefetch_completed\",\"session\":7,\"at\":2.0}"
         );
@@ -293,7 +291,7 @@ mod tests {
                 Time::from_secs_f64(1.0),
             )),
         };
-        let schema = check_record(&line(&serde_json::to_string(&rec).unwrap())).unwrap();
+        let schema = check_record(&line(&json(&rec))).unwrap();
         assert_eq!((schema.kind, schema.category), ("consulted", "sched"));
     }
 
@@ -355,7 +353,6 @@ mod tests {
         assert_eq!(rec.ev.category(), "cache");
         assert_eq!(rec.ev.kind(), "fetch_hit");
         assert_eq!(rec.ev.session(), Some(2));
-        let json = serde_json::to_string(&rec).unwrap();
-        assert!(json.starts_with("{\"seq\":0,\"source\":\"store\""));
+        assert!(json(&rec).starts_with("{\"seq\":0,\"source\":\"store\""));
     }
 }
