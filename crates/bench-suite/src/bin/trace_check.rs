@@ -38,10 +38,16 @@
 //! session-scoped engine event may be attributed to it until a
 //! `scale_up` revives it.
 //!
-//! A Chrome
-//! trace must be valid JSON with a non-empty `traceEvents` array whose
-//! duration slices all have `dur >= 0`; a metrics snapshot must parse
-//! as a JSON object with a `counters` object, `hit_rate` and `tiers`.
+//! A Chrome trace must be valid JSON with a non-empty `traceEvents`
+//! array. Every event must carry the keys its phase requires: a complete
+//! slice (`X`) its `name`, `cat`, `ts`, `dur >= 0`, `pid` and `tid`; an
+//! instant (`i`) its scope `s`, `ts`, `pid` and `tid`; a counter (`C`) an
+//! `args` object of numeric series; a flow end (`s`/`f`) its `id`, `ts`,
+//! `pid` and `tid`, plus `bp` on the finish; metadata (`M`) the name
+//! `process_name` or `thread_name` and a string `args.name`. Any other
+//! phase is rejected, and each flow id must have exactly one start and
+//! one finish. A metrics snapshot must parse as a JSON object with a
+//! `counters` object, `hit_rate` and `tiers`.
 //!
 //! `--self-profile` validates a host-time self-profile (the JSON
 //! `exp_scale --out` writes, or any object carrying a `self_profile`
@@ -63,7 +69,7 @@
 //! non-zero with a message on the first failure, so `ci.sh` can gate
 //! on it.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::process::ExitCode;
 
 use serde::Value;
@@ -454,40 +460,153 @@ fn check_trace(path: &str, text: &str) -> Result<String, String> {
 
 fn check_chrome(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let summary = check_chrome_text(path, &text)?;
+    println!("[trace_check] {summary}");
+    Ok(())
+}
+
+/// The keys a trace event of phase `ph` must carry, with their JSON
+/// types (`number` admits integers too); `None` for a phase the
+/// exporters never write.
+fn required_keys(ph: &str) -> Option<&'static [(&'static str, &'static str)]> {
+    Some(match ph {
+        "X" => &[
+            ("name", "string"),
+            ("cat", "string"),
+            ("ts", "number"),
+            ("dur", "number"),
+            ("pid", "integer"),
+            ("tid", "integer"),
+        ],
+        "i" => &[
+            ("s", "string"),
+            ("ts", "number"),
+            ("pid", "integer"),
+            ("tid", "integer"),
+        ],
+        "C" => &[("args", "object")],
+        "s" => &[
+            ("id", "integer"),
+            ("ts", "number"),
+            ("pid", "integer"),
+            ("tid", "integer"),
+        ],
+        "f" => &[
+            ("id", "integer"),
+            ("ts", "number"),
+            ("pid", "integer"),
+            ("tid", "integer"),
+            ("bp", "string"),
+        ],
+        "M" => &[("name", "string"), ("args", "object")],
+        _ => return None,
+    })
+}
+
+fn is_number(v: &Value) -> bool {
+    matches!(v, Value::U64(_) | Value::I64(_) | Value::F64(_))
+}
+
+/// Checks one trace event against its phase's required keys and values;
+/// returns the phase.
+fn check_chrome_event(ev: &Value) -> Result<&str, String> {
+    let Some(Value::Str(ph)) = ev.get("ph") else {
+        return Err("event has no string `ph`".to_string());
+    };
+    let required = required_keys(ph).ok_or_else(|| format!("unknown phase `{ph}`"))?;
+    for &(key, ty) in required {
+        match ev.get(key) {
+            None => return Err(format!("`{ph}` event lacks `{key}`")),
+            Some(v) if v.kind() == ty || (ty == "number" && is_number(v)) => {}
+            Some(v) => return Err(format!("`{ph}` event's `{key}` is {}, not {ty}", v.kind())),
+        }
+    }
+    let args = ev.get("args");
+    match ph.as_str() {
+        // A negative dur renders as garbage in Perfetto and means a span
+        // was paired backwards.
+        "X" => match ev.get("dur") {
+            Some(Value::F64(d)) if *d < 0.0 => return Err(format!("X slice with dur {d}")),
+            Some(Value::I64(d)) => return Err(format!("X slice with dur {d}")),
+            _ => {}
+        },
+        "C" => match args {
+            Some(Value::Object(series)) if !series.is_empty() => {
+                if let Some((key, v)) = series.iter().find(|(_, v)| !is_number(v)) {
+                    return Err(format!("counter series `{key}` is {}", v.kind()));
+                }
+            }
+            _ => return Err("counter with no series in `args`".to_string()),
+        },
+        "M" => {
+            if let Some(Value::Str(name)) = ev.get("name") {
+                if name != "process_name" && name != "thread_name" {
+                    return Err(format!(
+                        "metadata `{name}` is neither process_name nor thread_name"
+                    ));
+                }
+            }
+            if !matches!(args.and_then(|a| a.get("name")), Some(Value::Str(_))) {
+                return Err("metadata without a string `args.name`".to_string());
+            }
+        }
+        _ => {}
+    }
+    Ok(ph)
+}
+
+/// Checks a Chrome trace's text; `path` labels the messages. Every event
+/// carries the keys its phase requires, and every flow id has exactly
+/// one start (`s`) and one finish (`f`). Returns the one-line summary.
+fn check_chrome_text(path: &str, text: &str) -> Result<String, String> {
     let v: Value =
-        serde_json::from_str(&text).map_err(|e| format!("{path}: not valid JSON: {e:?}"))?;
+        serde_json::from_str(text).map_err(|e| format!("{path}: not valid JSON: {e:?}"))?;
     let Value::Object(pairs) = v else {
         return Err(format!("{path}: envelope is not an object"));
     };
-    let events = pairs
-        .iter()
-        .find(|(k, _)| k == "traceEvents")
-        .map(|(_, v)| v);
-    match events {
-        Some(Value::Array(xs)) if !xs.is_empty() => {
-            // Every complete ("X") slice must have a non-negative
-            // duration — a negative dur renders as garbage in Perfetto
-            // and means a span was paired backwards.
-            for (i, ev) in xs.iter().enumerate() {
-                if !matches!(ev.get("ph"), Some(Value::Str(ph)) if ph == "X") {
-                    continue;
-                }
-                match ev.get("dur") {
-                    Some(Value::F64(d)) if *d >= 0.0 => {}
-                    Some(Value::U64(_)) => {}
-                    other => {
-                        return Err(format!(
-                            "{path}: traceEvents[{i}]: X slice with bad dur {other:?}"
-                        ))
-                    }
-                }
-            }
-            println!("[trace_check] {path}: {} trace events", xs.len());
-            Ok(())
+    let events = match pairs.iter().find(|(k, _)| k == "traceEvents") {
+        Some((_, Value::Array(xs))) if !xs.is_empty() => xs,
+        Some((_, Value::Array(_))) => return Err(format!("{path}: traceEvents is empty")),
+        _ => return Err(format!("{path}: missing traceEvents array")),
+    };
+    // Flow id → index of its `s` and of its `f` event.
+    let mut flows: BTreeMap<u64, [Option<usize>; 2]> = BTreeMap::new();
+    for (i, ev) in events.iter().enumerate() {
+        let at = |msg: String| format!("{path}: traceEvents[{i}]: {msg}");
+        let ph = check_chrome_event(ev).map_err(at)?;
+        let end = match ph {
+            "s" => 0,
+            "f" => 1,
+            _ => continue,
+        };
+        let Some(Value::U64(id)) = ev.get("id") else {
+            return Err(at(format!("flow id {:?} is negative", ev.get("id"))));
+        };
+        let slot = &mut flows.entry(*id).or_default()[end];
+        if slot.is_some() {
+            return Err(at(format!("flow {id} has a second `{ph}`")));
         }
-        Some(Value::Array(_)) => Err(format!("{path}: traceEvents is empty")),
-        _ => Err(format!("{path}: missing traceEvents array")),
+        *slot = Some(i);
     }
+    for (id, ends) in &flows {
+        match ends {
+            [Some(_), Some(_)] => {}
+            [Some(i), None] => {
+                return Err(format!(
+                    "{path}: traceEvents[{i}]: flow {id} never finishes"
+                ))
+            }
+            [None, Some(i)] => {
+                return Err(format!("{path}: traceEvents[{i}]: flow {id} never started"))
+            }
+            [None, None] => unreachable!("a flow entry is made by one of its ends"),
+        }
+    }
+    Ok(format!(
+        "{path}: {} trace events carry their phases' keys, {} flows paired",
+        events.len(),
+        flows.len()
+    ))
 }
 
 fn check_metrics(path: &str) -> Result<(), String> {
@@ -786,7 +905,7 @@ mod tests {
     use engine::{ConsultClass, EngineEvent};
     use sim::Time;
     use store::{StoreEvent, TierId};
-    use telemetry::{to_jsonl, TraceEvent, TraceRecord};
+    use telemetry::{to_chrome_trace, to_jsonl, TraceEvent, TraceRecord};
 
     fn t(secs: f64) -> Time {
         Time::from_secs_f64(secs)
@@ -892,6 +1011,154 @@ mod tests {
         for (text, want) in cases {
             let err = rejection(&text);
             assert_eq!(err, want);
+        }
+    }
+
+    /// One event of each phase the exporters write, well formed; the
+    /// flow pair shares id 1.
+    const EVENTS: [&str; 6] = [
+        r#"{"name":"process_name","ph":"M","pid":1,"args":{"name":"cachedattention"}}"#,
+        r#"{"name":"queued","cat":"sched","ph":"X","ts":0.0,"dur":5.0,"pid":1,"tid":1}"#,
+        r#"{"name":"consulted","cat":"sched","ph":"i","s":"t","ts":1.0,"pid":1,"tid":1}"#,
+        r#"{"name":"hbm_reserved_bytes","ph":"C","ts":1.0,"pid":1,"args":{"reserved":10}}"#,
+        r#"{"name":"kv_transfer","cat":"tiering","ph":"s","id":1,"ts":1.0,"pid":1,"tid":1}"#,
+        r#"{"name":"kv_transfer","cat":"tiering","ph":"f","id":1,"ts":2.0,"pid":1,"tid":1,"bp":"e"}"#,
+    ];
+
+    fn chrome(events: &[&str]) -> String {
+        format!(
+            "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}",
+            events.join(",")
+        )
+    }
+
+    /// `EVENTS` with the first `from` in event `i` replaced.
+    fn chrome_edited(i: usize, from: &str, to: &str) -> String {
+        let mut events = EVENTS.map(str::to_string);
+        assert!(events[i].contains(from), "event {i} lacks {from}");
+        events[i] = events[i].replacen(from, to, 1);
+        chrome(&events.each_ref().map(String::as_str))
+    }
+
+    #[test]
+    fn well_formed_chrome_traces_pass() {
+        let summary = check_chrome_text("t.json", &chrome(&EVENTS)).unwrap();
+        assert_eq!(
+            summary,
+            "t.json: 6 trace events carry their phases' keys, 1 flows paired"
+        );
+        // The exporter's own output, prefetch flow included.
+        let records: Vec<TraceRecord> = [
+            TraceEvent::Engine(EngineEvent::turn_arrived(7, 0, t(0.0))),
+            TraceEvent::Store(StoreEvent::Promoted {
+                session: 7,
+                bytes: 100,
+                kind: store::FetchKind::Prefetch,
+                from: TierId(1),
+                to: TierId(0),
+                queue_pos: Some(0),
+                instance: None,
+                at: t(0.001),
+            }),
+            TraceEvent::Store(StoreEvent::PrefetchCompleted {
+                session: 7,
+                instance: None,
+                at: t(0.005),
+            }),
+            TraceEvent::Engine(EngineEvent::admitted(7, 100, 50, false, t(0.008))),
+            TraceEvent::Engine(EngineEvent::hbm_reserved(7, 10, 100, t(0.008))),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, ev)| TraceRecord {
+            seq: i as u64,
+            instance: None,
+            ev,
+        })
+        .collect();
+        let summary = check_chrome_text("t.json", &to_chrome_trace(&records)).unwrap();
+        assert!(summary.ends_with("1 flows paired"), "{summary}");
+    }
+
+    #[test]
+    fn chrome_events_missing_their_phase_keys_are_rejected() {
+        let cases = [
+            (
+                chrome_edited(1, ",\"dur\":5.0", ""),
+                "traceEvents[1]: `X` event lacks `dur`",
+            ),
+            (
+                chrome_edited(1, "\"dur\":5.0", "\"dur\":-5.0"),
+                "traceEvents[1]: X slice with dur -5",
+            ),
+            (
+                chrome_edited(1, "\"name\":\"queued\"", "\"name\":3"),
+                "traceEvents[1]: `X` event's `name` is integer, not string",
+            ),
+            (
+                chrome_edited(1, "\"ph\":\"X\"", "\"ph\":\"B\""),
+                "traceEvents[1]: unknown phase `B`",
+            ),
+            (
+                chrome_edited(2, "\"s\":\"t\",", ""),
+                "traceEvents[2]: `i` event lacks `s`",
+            ),
+            (
+                chrome_edited(3, ",\"args\":{\"reserved\":10}", ""),
+                "traceEvents[3]: `C` event lacks `args`",
+            ),
+            (
+                chrome_edited(3, "\"reserved\":10", "\"reserved\":\"10\""),
+                "traceEvents[3]: counter series `reserved` is string",
+            ),
+            (
+                chrome_edited(4, "\"id\":1,", ""),
+                "traceEvents[4]: `s` event lacks `id`",
+            ),
+            (
+                chrome_edited(5, ",\"bp\":\"e\"", ""),
+                "traceEvents[5]: `f` event lacks `bp`",
+            ),
+            (
+                chrome_edited(0, "\"process_name\"", "\"process_title\""),
+                "traceEvents[0]: metadata `process_title` is neither process_name nor \
+                 thread_name",
+            ),
+            (
+                chrome_edited(0, "{\"name\":\"cachedattention\"}", "{\"name\":1}"),
+                "traceEvents[0]: metadata without a string `args.name`",
+            ),
+        ];
+        for (text, want) in cases {
+            let err = check_chrome_text("t.json", &text).expect_err(want);
+            assert_eq!(err, format!("t.json: {want}"));
+        }
+    }
+
+    #[test]
+    fn flows_need_exactly_one_start_and_one_finish() {
+        let [m, x, i, c, s, f] = EVENTS;
+        let cases = [
+            (
+                chrome(&[m, x, i, c, s]),
+                "traceEvents[4]: flow 1 never finishes",
+            ),
+            (
+                chrome(&[m, x, i, c, f]),
+                "traceEvents[4]: flow 1 never started",
+            ),
+            (
+                chrome(&[m, x, i, c, s, s, f]),
+                "traceEvents[5]: flow 1 has a second `s`",
+            ),
+            (
+                chrome(&[m, x, i, c, s, f, f]),
+                "traceEvents[6]: flow 1 has a second `f`",
+            ),
+        ];
+        for (text, want) in cases {
+            let err = check_chrome_text("t.json", &text).expect_err(want);
+            assert_eq!(err, format!("t.json: {want}"));
         }
     }
 
