@@ -15,7 +15,7 @@
 //! - [`SimRng`]: a seeded random source with the distributions the workload
 //!   generator needs (exponential, log-normal, Zipf, categorical).
 //! - [`event_table!`]: declares a trace event enum once, one row per
-//!   variant, and generates its accessors, JSON encoding and schema
+//!   variant, and generates its accessors, JSON text writer and schema
 //!   ([`events`]).
 //!
 //! All randomness flows from a single `u64` seed and event ordering is

@@ -9,8 +9,7 @@
 //! [`check_record`] validates one exported line against it.
 
 use engine::EngineEvent;
-use serde::text;
-use serde::Value;
+use serde::{text, Value};
 use sim::events::EventSchema;
 use sim::Time;
 use store::StoreEvent;
@@ -105,7 +104,7 @@ impl TraceRecord {
     /// every JSONL line is self-describing. An event that names its own
     /// instance carries the attribution in its payload, so the key is
     /// written once.
-    pub fn write_json(&self, out: &mut String) {
+    pub(crate) fn write_json(&self, out: &mut String) {
         out.push_str("{\"seq\":");
         text::write_u64(out, self.seq);
         out.push_str(",\"source\":");

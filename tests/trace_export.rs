@@ -433,8 +433,9 @@ const SIGNAL: &str = "sig\\nal\"\n\u{1f}";
 const SCOPE: &str = "store.\"reserve\"\\\n\u{2}";
 
 /// Tier names, alert rules and signals, and self-profile scope names
-/// reach the text unescaped by nothing: each round-trips through the
-/// JSONL export and every Chrome flavour that carries it.
+/// come from configuration, so the writers must escape them: each
+/// round-trips through the JSONL export and every Chrome flavour that
+/// carries it.
 #[test]
 fn strings_needing_escapes_round_trip_through_every_exporter() {
     let records = stamp(vec![
