@@ -580,7 +580,7 @@ fn check_chrome_text(path: &str, text: &str) -> Result<String, String> {
             _ => continue,
         };
         let Some(Value::U64(id)) = ev.get("id") else {
-            return Err(at(format!("flow id {:?} is negative", ev.get("id"))));
+            return Err(at("flow id is negative".to_string()));
         };
         let slot = &mut flows.entry(*id).or_default()[end];
         if slot.is_some() {
