@@ -41,6 +41,8 @@
 #    hit rate) must match exactly; host fields (events/sec, wall, RSS)
 #    get a wide band that only catches algorithmic collapses.
 #    REGEN_BENCH=1 regenerates this baseline too.
+# 16. line counts: scripts/loc.py prints the non-test Rust lines of
+#    crates/, src/ and examples/, then of compat/ (a report, not a gate)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -190,5 +192,8 @@ else
     ./target/release/exp_scale --out "$SMOKE_DIR/scale.json" \
         --baseline BENCH_scale.json >/dev/null
 fi
+
+echo "==> non-test line counts (scripts/loc.py)"
+python3 scripts/loc.py
 
 echo "CI green."

@@ -156,7 +156,7 @@ fn bench_self_profiler_overhead(c: &mut Criterion) {
 
     // The 13 exp_profile golden scenarios with the profiler enabled vs
     // disabled. Single-engine runs go through the same 1-instance
-    // cluster facade, so enabling the profiler pays the full per-event
+    // cluster, so enabling the profiler pays the full per-event
     // scope cost here too — this group reports that price honestly;
     // the < 5% additivity claim is about the *disabled* path above.
     let scenarios = bench_suite::profile::golden_scenarios();

@@ -69,7 +69,6 @@ fn main() {
 
     let mut cfg = scaled_config(Mode::CachedAttention, model, scale);
     cfg.store.tiers = case.tiers.clone();
-    cfg.cluster.tiers = case.tiers.clone();
     let trace = paper_trace(scale, 1.0);
     let mut cluster = ClusterConfig::new(cfg, 1, RouterKind::SessionAffinity);
     if faulted {

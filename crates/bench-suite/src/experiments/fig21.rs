@@ -20,8 +20,6 @@ pub fn run_cell(policy: PolicyKind, dram_bytes: u64, disk_bytes: u64, scale: Sca
     cfg.store.policy = policy;
     cfg.store.set_dram_bytes(dram_bytes);
     cfg.store.set_disk_bytes(disk_bytes);
-    cfg.cluster.tiers[0].capacity = dram_bytes;
-    cfg.cluster.tiers[1].capacity = disk_bytes;
     run_trace(cfg, paper_trace(scale, 1.0))
 }
 

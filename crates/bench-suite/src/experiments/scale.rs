@@ -130,8 +130,6 @@ pub fn scale_config(opts: &ScaleOpts) -> ClusterConfig {
     engine
         .store
         .set_disk_bytes((engine.store.disk_bytes() as f64 * f) as u64);
-    engine.cluster.tiers[0].capacity = engine.store.dram_bytes();
-    engine.cluster.tiers[1].capacity = engine.store.disk_bytes();
     ClusterConfig::new(engine, opts.instances, RouterKind::SessionAffinity)
 }
 
@@ -562,9 +560,5 @@ mod tests {
             ..tiny()
         });
         assert!(hot.engine.store.dram_bytes() > many.engine.store.dram_bytes());
-        assert_eq!(
-            hot.engine.cluster.tiers[0].capacity,
-            hot.engine.store.dram_bytes()
-        );
     }
 }

@@ -191,7 +191,6 @@ pub fn compute(scale: Scale, faulted: bool) -> TierResults {
     for case in stack_cases(scale, &model) {
         let mut cfg = scaled_config(Mode::CachedAttention, model.clone(), scale);
         cfg.store.tiers = case.tiers.clone();
-        cfg.cluster.tiers = case.tiers.clone();
         let n_gpus = cfg.cluster.n_gpus;
         let trace = paper_trace(scale, 1.0);
         let mut cluster = ClusterConfig::new(cfg, 1, RouterKind::SessionAffinity);

@@ -96,8 +96,6 @@ pub fn scaled_config(mode: Mode, model: ModelSpec, scale: Scale) -> EngineConfig
         .set_dram_bytes(((cfg.store.dram_bytes() as f64 * f) as u64).max(5 * max_session));
     cfg.store
         .set_disk_bytes(((cfg.store.disk_bytes() as f64 * f) as u64).max(25 * max_session));
-    cfg.cluster.tiers[0].capacity = cfg.store.dram_bytes();
-    cfg.cluster.tiers[1].capacity = cfg.store.disk_bytes();
     cfg
 }
 

@@ -91,27 +91,37 @@ pub struct BenchProfile {
     pub scenarios: Vec<ScenarioProfile>,
 }
 
+/// The serving modes of the canonical matrix, in matrix order.
+pub const MODES: [Mode; 3] = [
+    Mode::CachedAttention,
+    Mode::Recompute,
+    Mode::CoupledOverflow,
+];
+
+/// The placement mediums of the canonical matrix with the labels their
+/// fixture names use, in matrix order.
+pub const MEDIUMS: [(Medium, &str); 3] = [
+    (Medium::DramDisk, "dramdisk"),
+    (Medium::HbmDram, "hbmdram"),
+    (Medium::HbmOnly, "hbmonly"),
+];
+
+/// The goldens' pressured store: LLaMA-13B on the paper engine with
+/// 8 GB of DRAM over 40 GB of disk, small enough that 20 sessions of KV
+/// overflow DRAM and spill to the slow tier, exercising eviction,
+/// prefetch and both transfer links.
+pub fn pressured(mode: Mode, medium: Medium) -> EngineConfig {
+    let mut cfg = EngineConfig::paper(mode, ModelSpec::llama2_13b());
+    cfg.medium = medium;
+    cfg.store.set_dram_bytes(8_000_000_000);
+    cfg.store.set_disk_bytes(40_000_000_000);
+    cfg
+}
+
 /// The canonical scenario matrix: every mode × placement medium under
-/// the goldens' pressured store, plus the four CachedAttention
-/// ablations. Names match `tests/golden/*.json`.
+/// the [`pressured`] store, plus the four CachedAttention ablations.
+/// Names match `tests/golden/*.json`.
 pub fn golden_scenarios() -> Vec<(String, EngineConfig)> {
-    const MODES: [Mode; 3] = [
-        Mode::CachedAttention,
-        Mode::Recompute,
-        Mode::CoupledOverflow,
-    ];
-    const MEDIUMS: [(Medium, &str); 3] = [
-        (Medium::DramDisk, "dramdisk"),
-        (Medium::HbmDram, "hbmdram"),
-        (Medium::HbmOnly, "hbmonly"),
-    ];
-    fn pressured(mode: Mode, medium: Medium) -> EngineConfig {
-        let mut cfg = EngineConfig::paper(mode, ModelSpec::llama2_13b());
-        cfg.medium = medium;
-        cfg.store.set_dram_bytes(8_000_000_000);
-        cfg.store.set_disk_bytes(40_000_000_000);
-        cfg
-    }
     let mut out = Vec::new();
     for mode in MODES {
         for (medium, label) in MEDIUMS {

@@ -28,8 +28,7 @@ use std::collections::BTreeMap;
 use serde::Serialize;
 use sim::{BoundedInbox, Dur, EventQueue, FaultPlan, Time, World};
 use store::{
-    AttentionStore, ContentKey, DedupStats, KeyingMode, QueueView, SessionId, StoreEvent,
-    StorePlanner, TierId,
+    AttentionStore, ContentKey, DedupStats, KeyingMode, QueueView, SessionId, StoreEvent, TierId,
 };
 use workload::Trace;
 
@@ -105,9 +104,8 @@ impl ClusterConfig {
         }
     }
 
-    /// The degenerate single-instance cluster
-    /// [`ServingSim`](crate::ServingSim) wraps: one instance, affinity
-    /// routing.
+    /// The degenerate single-instance cluster [`run_trace`](crate::run_trace)
+    /// runs: one instance, affinity routing.
     pub fn single(engine: EngineConfig) -> Self {
         ClusterConfig::new(engine, 1, RouterKind::SessionAffinity)
     }
@@ -238,14 +236,15 @@ pub struct ClusterSim<O: EngineObserver = NullObserver> {
     jobs: Vec<Job>,
     instances: Vec<EngineInstance>,
     router: Box<dyn RouterPolicy>,
-    store: Option<Box<dyn StorePlanner>>,
+    /// The shared store; `None` under [`Mode::Recompute`].
+    store: Option<AttentionStore>,
     turn_arrivals: usize,
     sessions_remaining: usize,
     last_completion: Time,
     report: RunReport,
     obs: O,
-    /// The run's fault plan (`None` = fault-free; the fallible store and
-    /// consult paths are only taken when set).
+    /// The run's fault plan (`None` = fault-free; crashes and pressure
+    /// spikes are only scheduled when set).
     faults: Option<FaultPlan>,
     recompute_fallbacks: u64,
     instance_crashes: u64,
@@ -308,9 +307,9 @@ impl<O: EngineObserver> ClusterSim<O> {
         } = cfg;
         let faults = faults.filter(|p| !p.is_empty());
         let slo = slo.filter(|p| !p.is_noop());
-        let mut store: Option<Box<dyn StorePlanner>> = match engine.mode {
+        let mut store = match engine.mode {
             Mode::Recompute => None,
-            _ => Some(Box::new(AttentionStore::new(engine.store.clone()))),
+            _ => Some(AttentionStore::new(engine.store.clone())),
         };
         if let Some(s) = &mut store {
             // Store tracing is buffered-and-drained, never behavioral:
@@ -584,20 +583,14 @@ impl<O: EngineObserver> ClusterSim<O> {
         }
         sim::scope!("cluster.prefetch");
         let view = self.merged_view();
-        let faulted = self.faults.is_some();
         let Some(store) = &mut self.store else {
             self.scratch_view = view;
             return;
         };
         // Prefetch read retries cost backoff wall time: the surviving
-        // transfers start once it elapses. Fault-free runs keep the
-        // infallible path untouched.
-        let (transfers, start) = if faulted {
-            let o = store.try_prefetch(now, &view);
-            (o.transfers, now + o.backoff)
-        } else {
-            (store.prefetch(now, &view), now)
-        };
+        // transfers start once it elapses.
+        let outcome = store.try_prefetch(now, &view);
+        let (transfers, start) = (outcome.transfers, now + outcome.backoff);
         // Group each owner's transfers into one charge call so the hops
         // of a multi-hop promotion chain on that owner's links; owners
         // are visited in sorted order for determinism.
@@ -675,11 +668,7 @@ impl<O: EngineObserver> ClusterSim<O> {
         }
         let sid = self.sid(session);
         let bytes = self.cfg.stored_kv_bytes(out.new_hist);
-        let store = self
-            .store
-            .as_mut()
-            .map(|s| s.as_mut() as &mut dyn StorePlanner);
-        truncate::apply_store_effect(self.cfg.mode, store, sid, bytes, out.new_hist);
+        truncate::apply_store_effect(self.cfg.mode, self.store.as_mut(), sid, bytes, out.new_hist);
         self.sessions[session].hist_tokens = out.new_hist;
         self.obs
             .on_instance_event(inst, EngineEvent::truncated(sid.0, hist, out.new_hist, now));
@@ -735,7 +724,7 @@ impl<O: EngineObserver> ClusterSim<O> {
         if turn_idx == 0 {
             let sid = self.sid(session);
             if let Some(store) = &mut self.store {
-                if store.keying() == KeyingMode::ContentAddressed {
+                if store.config().keying == KeyingMode::ContentAddressed {
                     let key = match content {
                         Some(c) => ContentKey {
                             shared_seed: c.shared_seed,
@@ -797,7 +786,7 @@ impl<O: EngineObserver> ClusterSim<O> {
         let ca = self
             .store
             .as_ref()
-            .is_some_and(|s| s.keying() == KeyingMode::ContentAddressed);
+            .is_some_and(|s| s.config().keying == KeyingMode::ContentAddressed);
         // Under per-session keying a first turn has nothing to look up.
         // Under block keying it does: the turn's own input may share a
         // prefix (system prompt, parent context) with blocks other
@@ -827,11 +816,9 @@ impl<O: EngineObserver> ClusterSim<O> {
         let store = self.store.as_mut().expect("checked above");
         // The whole next context — history plus the arriving input — is
         // matched against the stored prefix.
-        let FaultedConsult {
-            consult, degraded, ..
-        } = self.instances[inst as usize].plan.consult(
+        let FaultedConsult { consult, degraded } = self.instances[inst as usize].plan.consult(
             now,
-            store.as_mut(),
+            store,
             sid,
             hist + user,
             &view,
@@ -1136,19 +1123,12 @@ impl<O: EngineObserver> ClusterSim<O> {
             let sid = self.sid(session);
             let total_bytes = self.cfg.stored_kv_bytes(new_hist);
             let view = self.merged_view();
-            let faulted = self.faults.is_some();
             let store = self.store.as_mut().expect("store exists outside RE");
             // Write retries cost backoff wall time before the device→host
             // flush can start; an exhausted save drops the stale entry
-            // (the next turn re-prefills). Fault-free runs keep the
-            // infallible path untouched.
-            let (transfers, backoff) = if faulted {
-                let o = store.try_save(sid, total_bytes, new_hist, now, &view);
-                (o.transfers, o.backoff)
-            } else {
-                let (t, _saved) = store.save(sid, total_bytes, new_hist, now, &view);
-                (t, Dur::ZERO)
-            };
+            // (the next turn re-prefills).
+            let outcome = store.try_save(sid, total_bytes, new_hist, now, &view);
+            let (transfers, backoff) = (outcome.transfers, outcome.backoff);
             for t in &transfers {
                 let owner = view.owner(t.session).unwrap_or(inst) as usize;
                 self.instances[owner]

@@ -1,6 +1,6 @@
 //! Engine configuration: serving modes, cache mediums and knobs.
 
-use models::{ClusterSpec, CostModel, ModelSpec};
+use models::{ClusterSpec, CostModel, ModelSpec, TierStack};
 use store::StoreConfig;
 
 /// How the engine treats KV caches across turns.
@@ -49,7 +49,8 @@ pub struct EngineConfig {
     pub mode: Mode,
     /// Served model.
     pub model: ModelSpec,
-    /// Hardware.
+    /// Hardware: GPUs and PCIe. The store's tier stack is
+    /// [`StoreConfig::tiers`] in `store`.
     pub cluster: ClusterSpec,
     /// Latency model.
     pub cost: CostModel,
@@ -96,16 +97,15 @@ impl EngineConfig {
         } else {
             4
         };
-        let cluster = ClusterSpec::paper_testbed().with_gpus(n_gpus);
         let store = StoreConfig {
-            tiers: cluster.tiers.clone(),
+            tiers: TierStack::paper_two_tier(),
             default_session_bytes: model.kv_bytes(1500),
             ..StoreConfig::default()
         };
         EngineConfig {
             mode,
             model,
-            cluster,
+            cluster: ClusterSpec::paper_testbed().with_gpus(n_gpus),
             cost: CostModel::paper_system(),
             store,
             medium: Medium::DramDisk,

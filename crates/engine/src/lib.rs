@@ -11,8 +11,7 @@
 //!   (`RE`) vs the coupled-positional-encoding overflow baseline (`OF`),
 //!   and which storage hierarchy backs AttentionStore.
 //! - [`scheduler`]: the job queue ([`scheduler::SchedulerPolicy`], FCFS
-//!   by default), the pure admission predicates, and the §3.3 look-ahead
-//!   window arithmetic.
+//!   by default) and the pure admission predicates.
 //! - [`transfer`]: the four bandwidth links (h2d/d2h/slow-rd/slow-wr),
 //!   store consultation, fast-tier staging and write-buffer gating.
 //! - [`hbm`]: the live-KV HBM budget and high-water ledger (§2.4).
@@ -21,15 +20,14 @@
 //!   continuous decode batch.
 //! - [`overlap`]: the layer-wise pre-loading and asynchronous saving
 //!   timing models (§3.2, Figures 6–8, ablated in Figures 18–20).
-//! - [`ServingSim`] / [`run_trace`]: the single-instance orchestrator
-//!   dispatching closed-loop multi-turn sessions over those stages;
-//!   [`run_traced`] additionally collects the [`EngineEvent`] stream
-//!   through the [`EngineObserver`] hook.
-//! - [`ClusterSim`] / [`run_cluster`]: the N-instance generalization —
-//!   per-instance [`EngineInstance`] pipelines behind a [`router`]
-//!   ([`RouterKind`]), all sharing one AttentionStore through a merged,
-//!   owner-attributed queue view. [`ServingSim`] is its single-instance
-//!   facade.
+//! - [`ClusterSim`] / [`run_cluster`]: the orchestrator dispatching
+//!   closed-loop multi-turn sessions over those stages — per-instance
+//!   [`EngineInstance`] pipelines behind a [`router`] ([`RouterKind`]),
+//!   all sharing one AttentionStore through a merged, owner-attributed
+//!   queue view.
+//! - [`run_trace`]: one instance under affinity routing
+//!   ([`ClusterConfig::single`]); [`run_traced`] additionally collects
+//!   the [`EngineEvent`] stream through the [`EngineObserver`] hook.
 //! - [`slo`]: the overload-robustness layer — per-turn TTFT deadlines
 //!   (EDF queueing), a deterministic admission/degradation ladder and a
 //!   queue-driven autoscaler, all optional and off by default.
@@ -46,7 +44,6 @@ pub mod overlap;
 mod report;
 pub mod router;
 pub mod scheduler;
-mod serving;
 pub mod slo;
 pub mod transfer;
 pub mod truncate;
@@ -57,7 +54,6 @@ pub use events::{ConsultClass, EngineEvent, EngineObserver, EventLog, NullObserv
 pub use instance::{EngineInstance, InstanceReport};
 pub use report::RunReport;
 pub use router::{InstanceLoad, LeastLoaded, RouterKind, RouterPolicy, SessionAffinity};
-pub use serving::ServingSim;
 pub use slo::{AutoscalePolicy, OverloadLevel, SloPolicy};
 
 use models::ModelSpec;
@@ -79,7 +75,7 @@ use workload::Trace;
 /// assert!(report.hit_rate() > 0.5);
 /// ```
 pub fn run_trace(cfg: EngineConfig, trace: Trace) -> RunReport {
-    ServingSim::run(cfg, trace)
+    run_with_observer(cfg, trace, NullObserver).0
 }
 
 /// Runs `cfg` over `trace` with `obs` attached, returning the report and
@@ -92,9 +88,8 @@ pub fn run_with_observer<O: EngineObserver>(
     trace: Trace,
     obs: O,
 ) -> (RunReport, O) {
-    let mut world = ServingSim::with_observer(cfg, trace, obs);
-    world.drive();
-    world.finish()
+    let (report, obs) = run_cluster_with_observer(ClusterConfig::single(cfg), trace, obs);
+    (report.aggregate, obs)
 }
 
 /// Runs `cfg` over `trace` with an [`EventLog`] attached, returning the

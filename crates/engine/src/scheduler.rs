@@ -8,11 +8,8 @@
 //! rest of the pipeline.
 //!
 //! The module also owns the two *pure* admission predicates the
-//! orchestrator sequences in admission ([`ClusterSim`](crate::ClusterSim)
-//! / [`ServingSim`](crate::ServingSim)) —
-//! data-readiness and HBM residency — and the §3.3 look-ahead window
-//! arithmetic (`L_pw = C_mem / S_kv`, `L_ev = (C_mem + C_disk) / S_kv`)
-//! that sizes the store's scheduler-aware prefetch and eviction horizons.
+//! orchestrator ([`ClusterSim`](crate::ClusterSim)) sequences in
+//! admission: data-readiness and HBM residency.
 
 use std::collections::VecDeque;
 
@@ -196,24 +193,9 @@ pub fn hbm_fits(reserved: u64, job_peak: u64, budget: u64, batch_is_empty: bool)
     batch_is_empty || reserved + job_peak <= budget
 }
 
-/// Look-ahead prefetch window in sessions, `L_pw = C_mem / S_kv`
-/// (§3.3.1): how far down the queue the store stages disk-resident KV
-/// into DRAM ahead of execution.
-pub fn prefetch_window_sessions(c_mem: u64, s_kv: u64) -> usize {
-    (c_mem / s_kv.max(1)) as usize
-}
-
-/// Look-ahead eviction window in sessions,
-/// `L_ev = (C_mem + C_disk) / S_kv` (§3.3.2): entries due to run within
-/// this horizon are exempted from eviction where possible.
-pub fn eviction_window_sessions(c_mem: u64, c_disk: u64, s_kv: u64) -> usize {
-    ((c_mem + c_disk) / s_kv.max(1)) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use store::{AttentionStore, StoreConfig, StorePlanner};
 
     #[test]
     fn fcfs_preserves_arrival_order() {
@@ -327,41 +309,5 @@ mod tests {
         assert!(!hbm_fits(60, 41, 100, false));
         // The empty batch bypasses the budget.
         assert!(hbm_fits(60, 41, 100, true));
-    }
-
-    /// The §3.3 window formulas: `L_pw = C_mem / S_kv` and
-    /// `L_ev = (C_mem + C_disk) / S_kv` (integer division, as the paper's
-    /// "how many average sessions fit" reading implies).
-    #[test]
-    fn window_arithmetic_matches_the_paper_formulas() {
-        // 8 GB DRAM, 40 GB disk, 512 MB average session KV.
-        let (c_mem, c_disk, s_kv) = (8_000_000_000, 40_000_000_000, 512_000_000);
-        assert_eq!(prefetch_window_sessions(c_mem, s_kv), 15);
-        assert_eq!(eviction_window_sessions(c_mem, c_disk, s_kv), 93);
-        // Degenerate S_kv never divides by zero.
-        assert_eq!(prefetch_window_sessions(c_mem, 0), c_mem as usize);
-        assert_eq!(eviction_window_sessions(0, 0, 0), 0);
-    }
-
-    /// The pure window functions agree with AttentionStore's own
-    /// `prefetch_window`/`eviction_window` on a fresh store (where
-    /// `S_kv` is the configured default session footprint).
-    #[test]
-    fn window_arithmetic_matches_attention_store() {
-        let cfg = StoreConfig {
-            tiers: models::TierStack::two_tier(8_000_000_000, 40_000_000_000),
-            default_session_bytes: 512_000_000,
-            ..StoreConfig::default()
-        };
-        let store = AttentionStore::new(cfg.clone());
-        let s_kv = cfg.default_session_bytes;
-        assert_eq!(
-            StorePlanner::prefetch_window(&store),
-            prefetch_window_sessions(cfg.dram_bytes(), s_kv)
-        );
-        assert_eq!(
-            StorePlanner::eviction_window(&store),
-            eviction_window_sessions(cfg.dram_bytes(), cfg.disk_bytes(), s_kv)
-        );
     }
 }

@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 
 use sim::{BandwidthLink, Dur, FaultPlan, Time};
-use store::{DegradeReason, Lookup, QueueView, SessionId, StorePlanner, TierId, Transfer};
+use store::{AttentionStore, DegradeReason, Lookup, QueueView, SessionId, TierId, Transfer};
 
 use crate::events::ConsultClass;
 use crate::{EngineConfig, Medium};
@@ -54,15 +54,13 @@ pub struct Consult {
     pub tier: Option<TierId>,
 }
 
-/// A [`Consult`] plus what the store's fault layer did to get there
-/// (no retries and no degradation in fault-free runs).
+/// A [`Consult`] plus whether the store's fault layer abandoned the
+/// cached KV (never in fault-free runs).
 #[derive(Debug, Clone, Copy)]
 pub struct FaultedConsult {
     /// The classification and staging outcome (backoff included in
     /// `staged`).
     pub consult: Consult,
-    /// Injected read errors retried before the outcome settled.
-    pub retries: u32,
     /// Why the cached KV was abandoned, when it was.
     pub degraded: Option<DegradeReason>,
 }
@@ -238,7 +236,7 @@ impl TransferPlan {
     pub fn consult(
         &mut self,
         now: Time,
-        store: &mut dyn StorePlanner,
+        store: &mut AttentionStore,
         sid: SessionId,
         ctx_tokens: u64,
         queue: &QueueView,
@@ -292,7 +290,6 @@ impl TransferPlan {
         };
         FaultedConsult {
             consult,
-            retries: outcome.retries,
             degraded: outcome.degraded,
         }
     }

@@ -1,6 +1,5 @@
 //! End-to-end behaviour of the serving pipeline, exercised through the
-//! public API only (these tests moved out of `serving.rs` when the
-//! monolithic simulator was decomposed into staged modules).
+//! public API only.
 
 use engine::{
     run_paper_workload, run_trace, run_traced, ConsultClass, EngineConfig, EngineEvent, Mode,

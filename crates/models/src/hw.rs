@@ -259,11 +259,10 @@ impl<'a> IntoIterator for &'a TierStack {
     }
 }
 
-/// The serving node: GPUs plus the AttentionStore storage tier stack.
+/// The serving node: GPUs and their host link.
 ///
-/// Defaults mirror the paper's testbed (§4.1): 4×A100-80G, PCIe Gen4 ×16
-/// at ~26 GB/s effective, and a two-tier stack of 128 GB DRAM over 10 TB
-/// SSD at under 5 GB/s.
+/// Defaults mirror the paper's testbed (§4.1): 4×A100-80G and PCIe Gen4
+/// ×16 at ~26 GB/s effective.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClusterSpec {
     /// Per-GPU characteristics.
@@ -272,7 +271,10 @@ pub struct ClusterSpec {
     pub n_gpus: u32,
     /// Effective host↔device bandwidth per direction, bytes/s.
     pub pcie_bw: f64,
-    /// Storage tiers available to AttentionStore, fastest first.
+    /// The paper testbed's storage tiers, fastest first. The simulator
+    /// does not read this field: the store's stack is the engine's
+    /// `StoreConfig::tiers`. It stays only because `perfbench` assigns
+    /// it.
     pub tiers: TierStack,
 }
 
@@ -292,47 +294,6 @@ impl ClusterSpec {
         assert!(n > 0, "need at least one GPU");
         self.n_gpus = n;
         self
-    }
-
-    /// Returns a copy with `bytes` of capacity in the fast tier (tier 0).
-    pub fn with_dram(mut self, bytes: u64) -> Self {
-        self.tiers[0].capacity = bytes;
-        self
-    }
-
-    /// Returns a copy with `bytes` of capacity in tier 1 (the paper's
-    /// SSD slot).
-    pub fn with_disk(mut self, bytes: u64) -> Self {
-        assert!(self.tiers.len() > 1, "stack has no tier below DRAM");
-        self.tiers[1].capacity = bytes;
-        self
-    }
-
-    /// Returns a copy with an entirely different tier stack.
-    pub fn with_tiers(mut self, tiers: TierStack) -> Self {
-        self.tiers = tiers;
-        self
-    }
-
-    /// Capacity of the fast tier (tier 0), bytes.
-    pub fn dram_bytes(&self) -> u64 {
-        self.tiers[0].capacity
-    }
-
-    /// Capacity below the fast tier, bytes (tier 1 alone in the paper's
-    /// two-tier stack).
-    pub fn disk_bytes(&self) -> u64 {
-        self.tiers.slow_capacity()
-    }
-
-    /// Read bandwidth of tier 1 (SSD in the paper's stack), bytes/s.
-    pub fn disk_read_bw(&self) -> f64 {
-        self.tiers[1].read_bw
-    }
-
-    /// Write bandwidth of tier 1 (SSD in the paper's stack), bytes/s.
-    pub fn disk_write_bw(&self) -> f64 {
-        self.tiers[1].write_bw
     }
 
     /// Aggregate FP16 throughput across GPUs, FLOP/s.
@@ -359,26 +320,23 @@ mod tests {
     fn paper_testbed_matches_section_4_1() {
         let c = ClusterSpec::paper_testbed();
         assert_eq!(c.n_gpus, 4);
-        assert_eq!(c.dram_bytes(), 128_000_000_000);
-        assert_eq!(c.disk_bytes(), 10_000_000_000_000);
         assert!((c.pcie_bw - 26e9).abs() < 1.0);
+        let stack = TierStack::paper_two_tier();
+        assert_eq!(c.tiers, stack);
+        assert_eq!(stack[0].capacity, 128_000_000_000);
+        assert_eq!(stack.slow_capacity(), 10_000_000_000_000);
         // Pins the *preset* only: configured stacks are free to use
         // faster tiers (pooled memory, NVMe-oF, ...).
         assert!(
-            c.disk_read_bw() < 5e9,
+            stack[1].read_bw < 5e9,
             "paper preset: testbed disks under 5 GB/s"
         );
     }
 
     #[test]
     fn builders_override_fields() {
-        let c = ClusterSpec::paper_testbed()
-            .with_gpus(2)
-            .with_dram(1)
-            .with_disk(2);
+        let c = ClusterSpec::paper_testbed().with_gpus(2);
         assert_eq!(c.n_gpus, 2);
-        assert_eq!(c.dram_bytes(), 1);
-        assert_eq!(c.disk_bytes(), 2);
     }
 
     #[test]

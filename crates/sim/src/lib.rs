@@ -10,8 +10,6 @@
 //! - [`EventQueue`] and the [`World`] trait: a stable-order event loop.
 //! - [`BandwidthLink`]: a FIFO-serialized transfer resource used to model
 //!   PCIe streams and SSD I/O channels.
-//! - [`CapacityPool`]: byte-granularity space accounting for HBM, DRAM and
-//!   disk tiers.
 //! - [`SimRng`]: a seeded random source with the distributions the workload
 //!   generator needs (exponential, log-normal, Zipf, categorical).
 //! - [`event_table!`]: declares a trace event enum once, one row per
@@ -51,7 +49,6 @@
 pub mod events;
 pub mod fault;
 mod link;
-mod pool;
 pub mod profiler;
 mod queue;
 mod rng;
@@ -62,7 +59,6 @@ pub use fault::{
     RetryPolicy, SsdFaults,
 };
 pub use link::BandwidthLink;
-pub use pool::{CapacityPool, PoolError};
 pub use profiler::{ProfilerConfig, ScopeProfile, SelfProfile};
 pub use queue::{BoundedInbox, EventQueue};
 pub use rng::SimRng;

@@ -1,12 +1,12 @@
-//! Store trace events: an observer hook over the AttentionStore.
+//! Store trace events: the AttentionStore's record of its decisions.
 //!
 //! Every placement decision the store makes — where a save landed, which
 //! tier a fetch hit, what got promoted, demoted or evicted and at which
-//! look-ahead window position — is reported as a [`StoreEvent`] through
-//! the [`StoreObserver`] hook. Observation is strictly read-only: events
-//! describe state changes *after* they are committed, and nothing an
-//! observer does can alter the store's behavior (the golden-report
-//! fixtures hold with or without tracing enabled).
+//! look-ahead window position — is buffered as a [`StoreEvent`] while
+//! tracing is on. Tracing is strictly read-only: events describe state
+//! changes *after* they are committed, and buffering them cannot alter
+//! the store's behavior (the golden-report fixtures hold with or without
+//! tracing enabled).
 //!
 //! Tiers are identified by their [`TierId`] index into the configured
 //! stack; the [`StoreEvent::TierConfig`] records emitted when tracing is
@@ -14,8 +14,8 @@
 //! consumers can label tracks without hard-coding a hierarchy.
 //!
 //! The serving engine drains these events through
-//! [`StorePlanner::drain_events`](crate::StorePlanner::drain_events) and
-//! merges them with its own pipeline events into one causally-ordered
+//! [`AttentionStore::drain_events`](crate::AttentionStore::drain_events)
+//! and merges them with its own pipeline events into one causally-ordered
 //! trace; a few variants ([`StoreEvent::PrefetchCompleted`],
 //! [`StoreEvent::WriteBufferStall`]) are emitted by the engine itself
 //! because only the transfer stage knows the link timings involved.
@@ -352,50 +352,6 @@ sim::event_table! {
     }
 }
 
-/// A sink for [`StoreEvent`]s.
-pub trait StoreObserver {
-    /// Called after the store commits the observed decision.
-    fn on_store_event(&mut self, ev: StoreEvent);
-}
-
-/// The default observer: discards everything, costs nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullStoreObserver;
-
-impl StoreObserver for NullStoreObserver {
-    fn on_store_event(&mut self, _ev: StoreEvent) {}
-}
-
-/// A Vec-collecting observer; the AttentionStore uses one internally as
-/// its drainable event buffer when tracing is enabled.
-#[derive(Debug, Clone, Default)]
-pub struct StoreEventLog {
-    events: Vec<StoreEvent>,
-}
-
-impl StoreEventLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        StoreEventLog::default()
-    }
-
-    /// All collected events, in commit order.
-    pub fn events(&self) -> &[StoreEvent] {
-        &self.events
-    }
-
-    /// Takes the collected events, leaving the log empty.
-    pub fn drain(&mut self) -> Vec<StoreEvent> {
-        std::mem::take(&mut self.events)
-    }
-}
-
-impl StoreObserver for StoreEventLog {
-    fn on_store_event(&mut self, ev: StoreEvent) {
-        self.events.push(ev);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,28 +362,6 @@ mod tests {
         ev.write_json_members(&mut out);
         out.push('}');
         out
-    }
-
-    #[test]
-    fn log_collects_and_drains() {
-        let mut log = StoreEventLog::new();
-        log.on_store_event(StoreEvent::FetchMiss {
-            session: 4,
-            at: Time::ZERO,
-        });
-        log.on_store_event(StoreEvent::Saved {
-            session: 4,
-            bytes: 10,
-            tier: TierId(0),
-            at: Time::from_millis(5),
-        });
-        assert_eq!(log.events().len(), 2);
-        let drained = log.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(log.events().is_empty());
-        assert_eq!(drained[0].session(), Some(4));
-        assert_eq!(drained[1].kind(), "saved");
-        assert_eq!(drained[1].category(), "cache");
     }
 
     #[test]

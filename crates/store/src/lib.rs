@@ -34,7 +34,6 @@ mod block;
 mod chain;
 mod entry;
 mod events;
-mod planner;
 mod policy;
 #[allow(clippy::module_inception)]
 mod store;
@@ -42,8 +41,7 @@ mod store;
 pub use block::{BlockId, BlockPool};
 pub use chain::{ChunkKey, ContentKey, DedupStats, KeyingMode, CHAIN_SEED};
 pub use entry::{SessionId, TierId};
-pub use events::{FetchKind, NullStoreObserver, StoreEvent, StoreEventLog, StoreObserver};
-pub use planner::StorePlanner;
+pub use events::{FetchKind, StoreEvent};
 pub use policy::{PolicyKind, QueueView};
 pub use store::{
     AttentionStore, DegradeReason, FaultStats, Lookup, PrefetchOutcome, PrefixMatch, PrefixOutcome,

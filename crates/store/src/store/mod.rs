@@ -40,7 +40,7 @@ use serde::{Deserialize, Serialize};
 use sim::{Dur, Time};
 
 use crate::chain::{ContentKey, DedupStats, KeyingMode};
-use crate::events::{StoreEvent, StoreEventLog, StoreObserver};
+use crate::events::StoreEvent;
 use crate::{BlockPool, PolicyKind, SessionId, TierId};
 
 /// One adjacent-tier hop produced by a store operation, for the engine to
@@ -283,7 +283,7 @@ pub struct AttentionStore {
     ledger: ledger::BlockLedger,
     stats: StoreStats,
     /// Drainable event buffer; `None` = tracing off (zero cost).
-    trace: Option<StoreEventLog>,
+    trace: Option<Vec<StoreEvent>>,
     /// Installed fault plan; `None` = fault-free (the `try_*` APIs then
     /// delegate verbatim to the infallible paths).
     faults: Option<sim::FaultPlan>,
@@ -324,16 +324,14 @@ impl AttentionStore {
     pub fn set_tracing(&mut self, on: bool) {
         match (on, self.trace.is_some()) {
             (true, false) => {
-                let mut log = StoreEventLog::new();
-                for (i, spec) in self.cfg.tiers.iter().enumerate() {
-                    log.on_store_event(StoreEvent::TierConfig {
-                        tier: TierId(i),
-                        name: spec.name,
-                        capacity: spec.capacity,
-                        at: Time::ZERO,
-                    });
-                }
-                self.trace = Some(log);
+                let tiers = self.cfg.tiers.iter().enumerate();
+                let config = tiers.map(|(i, spec)| StoreEvent::TierConfig {
+                    tier: TierId(i),
+                    name: spec.name,
+                    capacity: spec.capacity,
+                    at: Time::ZERO,
+                });
+                self.trace = Some(config.collect());
                 self.emit_dedup(StoreEvent::BlockConfig {
                     block_tokens: self.cfg.block_tokens,
                     at: Time::ZERO,
@@ -346,16 +344,13 @@ impl AttentionStore {
 
     /// Takes the buffered [`StoreEvent`]s (empty when tracing is off).
     pub fn drain_events(&mut self) -> Vec<StoreEvent> {
-        self.trace
-            .as_mut()
-            .map(StoreEventLog::drain)
-            .unwrap_or_default()
+        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// Reports `ev` to the trace buffer when tracing is enabled.
     fn emit(&mut self, ev: StoreEvent) {
         if let Some(t) = &mut self.trace {
-            t.on_store_event(ev);
+            t.push(ev);
         }
     }
 
@@ -376,7 +371,7 @@ impl AttentionStore {
 
     /// Number of buffered trace events (0 when tracing is off).
     fn trace_mark(&self) -> usize {
-        self.trace.as_ref().map_or(0, |t| t.events().len())
+        self.trace.as_ref().map_or(0, Vec::len)
     }
 
     /// Emits per-tier occupancy gauge samples when events landed since

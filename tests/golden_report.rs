@@ -18,26 +18,10 @@
 //! and commit the diff together with an explanation of why the numbers
 //! moved.
 
-use cachedattention::engine::{run_trace, EngineConfig, Medium, Mode};
-use cachedattention::models::ModelSpec;
+use bench_suite::profile::{golden_scenarios, pressured, MEDIUMS, MODES};
+use cachedattention::engine::{run_trace, EngineConfig};
 use cachedattention::workload::{Generator, ShareGptProfile};
 use std::path::PathBuf;
-
-const MODES: [Mode; 3] = [
-    Mode::CachedAttention,
-    Mode::Recompute,
-    Mode::CoupledOverflow,
-];
-
-const MEDIUMS: [Medium; 3] = [Medium::DramDisk, Medium::HbmDram, Medium::HbmOnly];
-
-fn medium_label(m: Medium) -> &'static str {
-    match m {
-        Medium::DramDisk => "dramdisk",
-        Medium::HbmDram => "hbmdram",
-        Medium::HbmOnly => "hbmonly",
-    }
-}
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -45,9 +29,10 @@ fn golden_dir() -> PathBuf {
         .join("golden")
 }
 
-/// Runs one scenario and checks (or regenerates) its fixture.
-fn check(name: &str, cfg: EngineConfig, n_sessions: usize, seed: u64) {
-    let trace = Generator::new(ShareGptProfile::default(), seed).trace(n_sessions);
+/// Runs one scenario over the goldens' 20-session, seed-7 trace and
+/// checks (or regenerates) its fixture.
+fn check(name: &str, cfg: EngineConfig) {
+    let trace = Generator::new(ShareGptProfile::default(), 7).trace(20);
     let report = run_trace(cfg, trace);
     let mut json = serde_json::to_string_pretty(&report).expect("report serializes");
     json.push('\n');
@@ -72,23 +57,24 @@ fn check(name: &str, cfg: EngineConfig, n_sessions: usize, seed: u64) {
     );
 }
 
-/// A store small enough that 20 sessions of LLaMA-13B KV overflow DRAM
-/// and spill to the slow tier, exercising eviction, prefetch and both
-/// transfer links.
-fn pressured(mode: Mode, medium: Medium) -> EngineConfig {
-    let mut cfg = EngineConfig::paper(mode, ModelSpec::llama2_13b());
-    cfg.medium = medium;
-    cfg.store.set_dram_bytes(8_000_000_000);
-    cfg.store.set_disk_bytes(40_000_000_000);
-    cfg
+/// Checks the canonical matrix's scenario named `name`.
+fn check_named(name: &str) {
+    let cfg = golden_scenarios()
+        .into_iter()
+        .find_map(|(n, cfg)| (n == name).then_some(cfg))
+        .unwrap_or_else(|| panic!("no golden scenario named `{name}`"));
+    check(name, cfg);
 }
 
+/// Every mode on every medium under the [`pressured`] store, which
+/// overflows DRAM and spills to the slow tier, exercising eviction,
+/// prefetch and both transfer links.
 #[test]
 fn golden_modes_by_mediums() {
     for mode in MODES {
-        for medium in MEDIUMS {
-            let name = format!("{}_{}", mode.label().to_lowercase(), medium_label(medium));
-            check(&name, pressured(mode, medium), 20, 7);
+        for (medium, label) in MEDIUMS {
+            let name = format!("{}_{label}", mode.label().to_lowercase());
+            check(&name, pressured(mode, medium));
         }
     }
 }
@@ -97,28 +83,19 @@ fn golden_modes_by_mediums() {
 /// execution stage.
 #[test]
 fn golden_chunked_prefill() {
-    let mut cfg = pressured(Mode::CachedAttention, Medium::DramDisk);
-    cfg.chunked_prefill_tokens = Some(256);
-    check("ca_dramdisk_chunked", cfg, 20, 7);
+    check_named("ca_dramdisk_chunked");
 }
 
 /// KV compression scales stored bytes and transfer times but not
 /// compute; pins the compression-aware accounting in the transfer plan.
 #[test]
 fn golden_kv_compression() {
-    let mut cfg = pressured(Mode::CachedAttention, Medium::DramDisk);
-    cfg.kv_compression = 0.25;
-    check("ca_dramdisk_int4", cfg, 20, 7);
+    check_named("ca_dramdisk_int4");
 }
 
 /// The ablations from Fig 19/20: no layer-wise preload, no async save.
 #[test]
 fn golden_ablations() {
-    let mut no_pl = pressured(Mode::CachedAttention, Medium::DramDisk);
-    no_pl.preload = false;
-    check("ca_dramdisk_no_preload", no_pl, 20, 7);
-
-    let mut no_as = pressured(Mode::CachedAttention, Medium::DramDisk);
-    no_as.async_save = false;
-    check("ca_dramdisk_no_async_save", no_as, 20, 7);
+    check_named("ca_dramdisk_no_preload");
+    check_named("ca_dramdisk_no_async_save");
 }

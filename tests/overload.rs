@@ -17,70 +17,21 @@
 //! 3. **Accounting** — `sessions_done + turns_shed` covers the whole
 //!    trace, and the overload counters agree with the event stream.
 
+use bench_suite::profile::{golden_scenarios, pressured};
 use cachedattention::engine::{
-    run_cluster, run_cluster_with_observer, AutoscalePolicy, ClusterConfig, EngineConfig,
-    EngineEvent, EngineObserver, Medium, Mode, RouterKind, SloPolicy,
+    run_cluster, run_cluster_with_observer, AutoscalePolicy, ClusterConfig, EngineEvent,
+    EngineObserver, Medium, Mode, RouterKind, SloPolicy,
 };
-use cachedattention::models::ModelSpec;
 use cachedattention::sim::{Dur, FaultPlan, RetryPolicy, Time};
 use cachedattention::workload::{Generator, ShareGptProfile, Surge};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
 
-const MODES: [Mode; 3] = [
-    Mode::CachedAttention,
-    Mode::Recompute,
-    Mode::CoupledOverflow,
-];
-
-const MEDIUMS: [Medium; 3] = [Medium::DramDisk, Medium::HbmDram, Medium::HbmOnly];
-
-fn medium_label(m: Medium) -> &'static str {
-    match m {
-        Medium::DramDisk => "dramdisk",
-        Medium::HbmDram => "hbmdram",
-        Medium::HbmOnly => "hbmonly",
-    }
-}
-
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden")
-}
-
-/// The same pressured configuration the golden fixtures use.
-fn pressured(mode: Mode, medium: Medium) -> EngineConfig {
-    let mut cfg = EngineConfig::paper(mode, ModelSpec::llama2_13b());
-    cfg.medium = medium;
-    cfg.store.set_dram_bytes(8_000_000_000);
-    cfg.store.set_disk_bytes(40_000_000_000);
-    cfg
-}
-
-/// All 13 golden scenarios from `golden_report.rs`, by fixture name.
-fn scenarios() -> Vec<(String, EngineConfig)> {
-    let mut out = Vec::new();
-    for mode in MODES {
-        for medium in MEDIUMS {
-            let name = format!("{}_{}", mode.label().to_lowercase(), medium_label(medium));
-            out.push((name, pressured(mode, medium)));
-        }
-    }
-    let mut chunked = pressured(Mode::CachedAttention, Medium::DramDisk);
-    chunked.chunked_prefill_tokens = Some(256);
-    out.push(("ca_dramdisk_chunked".into(), chunked));
-    let mut int4 = pressured(Mode::CachedAttention, Medium::DramDisk);
-    int4.kv_compression = 0.25;
-    out.push(("ca_dramdisk_int4".into(), int4));
-    let mut no_pl = pressured(Mode::CachedAttention, Medium::DramDisk);
-    no_pl.preload = false;
-    out.push(("ca_dramdisk_no_preload".into(), no_pl));
-    let mut no_as = pressured(Mode::CachedAttention, Medium::DramDisk);
-    no_as.async_save = false;
-    out.push(("ca_dramdisk_no_async_save".into(), no_as));
-    out
 }
 
 /// An empty SLO config is no SLO config: attaching [`SloPolicy::noop`]
@@ -90,7 +41,7 @@ fn scenarios() -> Vec<(String, EngineConfig)> {
 #[test]
 fn noop_slo_policy_reproduces_all_golden_fixtures() {
     for router in [RouterKind::SessionAffinity, RouterKind::LeastLoaded] {
-        for (name, cfg) in scenarios() {
+        for (name, cfg) in golden_scenarios() {
             let trace = Generator::new(ShareGptProfile::default(), 7).trace(20);
             let report = run_cluster(
                 ClusterConfig::new(cfg, 1, router).with_slo(SloPolicy::noop()),

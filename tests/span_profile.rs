@@ -12,52 +12,11 @@
 //! visible stall + pure compute (the `total == comp + max(stall, wait)`
 //! identity of the execution model).
 
+use bench_suite::profile::{golden_scenarios, pressured, MEDIUMS, MODES};
 use cachedattention::engine::{EngineConfig, Medium, Mode};
-use cachedattention::models::ModelSpec;
 use cachedattention::telemetry::{run_with_telemetry, Span, SpanForest};
 use cachedattention::workload::{Generator, ShareGptProfile};
 use proptest::prelude::*;
-
-const MODES: [Mode; 3] = [
-    Mode::CachedAttention,
-    Mode::Recompute,
-    Mode::CoupledOverflow,
-];
-
-const MEDIUMS: [Medium; 3] = [Medium::DramDisk, Medium::HbmDram, Medium::HbmOnly];
-
-/// The same pressured configuration the golden fixtures use.
-fn pressured(mode: Mode, medium: Medium) -> EngineConfig {
-    let mut cfg = EngineConfig::paper(mode, ModelSpec::llama2_13b());
-    cfg.medium = medium;
-    cfg.store.set_dram_bytes(8_000_000_000);
-    cfg.store.set_disk_bytes(40_000_000_000);
-    cfg
-}
-
-/// All 13 golden scenarios from `golden_report.rs`.
-fn scenarios() -> Vec<(String, EngineConfig)> {
-    let mut out = Vec::new();
-    for mode in MODES {
-        for medium in MEDIUMS {
-            let name = format!("{}_{:?}", mode.label().to_lowercase(), medium);
-            out.push((name, pressured(mode, medium)));
-        }
-    }
-    let mut chunked = pressured(Mode::CachedAttention, Medium::DramDisk);
-    chunked.chunked_prefill_tokens = Some(256);
-    out.push(("ca_chunked".into(), chunked));
-    let mut int4 = pressured(Mode::CachedAttention, Medium::DramDisk);
-    int4.kv_compression = 0.25;
-    out.push(("ca_int4".into(), int4));
-    let mut no_pl = pressured(Mode::CachedAttention, Medium::DramDisk);
-    no_pl.preload = false;
-    out.push(("ca_no_preload".into(), no_pl));
-    let mut no_as = pressured(Mode::CachedAttention, Medium::DramDisk);
-    no_as.async_save = false;
-    out.push(("ca_no_async_save".into(), no_as));
-    out
-}
 
 /// Recursively checks the tree invariants: non-negative extent,
 /// children contained in the parent, siblings non-overlapping and
@@ -158,14 +117,14 @@ proptest! {
         medium_ix in 0usize..3,
         dram_gb in 2u64..16,
     ) {
-        let mut cfg = pressured(MODES[mode_ix], MEDIUMS[medium_ix]);
+        let mut cfg = pressured(MODES[mode_ix], MEDIUMS[medium_ix].0);
         cfg.store.set_dram_bytes(dram_gb * 1_000_000_000);
         let trace = Generator::new(ShareGptProfile::default(), seed).trace(n_sessions);
         let (report, tel) = run_with_telemetry(cfg, trace);
         let forest = SpanForest::from_records(tel.records());
         let ctx = format!(
             "seed {seed}, {} sessions, {:?}/{:?}",
-            n_sessions, MODES[mode_ix], MEDIUMS[medium_ix]
+            n_sessions, MODES[mode_ix], MEDIUMS[medium_ix].0
         );
         assert_forest_well_formed(&forest, &ctx, true);
         prop_assert!(
@@ -184,7 +143,7 @@ proptest! {
 /// the right way for each ablation.
 #[test]
 fn golden_scenarios_reconcile_spans_with_reports() {
-    for (name, cfg) in scenarios() {
+    for (name, cfg) in golden_scenarios() {
         let trace = Generator::new(ShareGptProfile::default(), 7).trace(20);
         let contiguous = cfg.chunked_prefill_tokens.is_none();
         let (report, tel) = run_with_telemetry(cfg, trace);

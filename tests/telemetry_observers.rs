@@ -9,54 +9,11 @@
 //! full `Telemetry` stack (trace recording + hub + store-event tracing)
 //! changes nothing.
 
-use cachedattention::engine::{
-    run_trace, run_with_observer, EngineConfig, EventLog, Medium, Mode, NullObserver,
-};
-use cachedattention::models::ModelSpec;
+use bench_suite::profile::{golden_scenarios, pressured, MODES};
+use cachedattention::engine::{run_trace, run_with_observer, EventLog, Medium, Mode, NullObserver};
 use cachedattention::store::KeyingMode;
 use cachedattention::telemetry::{run_with_telemetry, MetricsHub};
 use cachedattention::workload::{Generator, ShareGptProfile, Trace};
-
-const MODES: [Mode; 3] = [
-    Mode::CachedAttention,
-    Mode::Recompute,
-    Mode::CoupledOverflow,
-];
-
-const MEDIUMS: [Medium; 3] = [Medium::DramDisk, Medium::HbmDram, Medium::HbmOnly];
-
-/// The same pressured configuration the golden fixtures use.
-fn pressured(mode: Mode, medium: Medium) -> EngineConfig {
-    let mut cfg = EngineConfig::paper(mode, ModelSpec::llama2_13b());
-    cfg.medium = medium;
-    cfg.store.set_dram_bytes(8_000_000_000);
-    cfg.store.set_disk_bytes(40_000_000_000);
-    cfg
-}
-
-/// All 13 golden scenarios from `golden_report.rs`.
-fn scenarios() -> Vec<(String, EngineConfig)> {
-    let mut out = Vec::new();
-    for mode in MODES {
-        for medium in MEDIUMS {
-            let name = format!("{}_{:?}", mode.label().to_lowercase(), medium);
-            out.push((name, pressured(mode, medium)));
-        }
-    }
-    let mut chunked = pressured(Mode::CachedAttention, Medium::DramDisk);
-    chunked.chunked_prefill_tokens = Some(256);
-    out.push(("ca_chunked".into(), chunked));
-    let mut int4 = pressured(Mode::CachedAttention, Medium::DramDisk);
-    int4.kv_compression = 0.25;
-    out.push(("ca_int4".into(), int4));
-    let mut no_pl = pressured(Mode::CachedAttention, Medium::DramDisk);
-    no_pl.preload = false;
-    out.push(("ca_no_preload".into(), no_pl));
-    let mut no_as = pressured(Mode::CachedAttention, Medium::DramDisk);
-    no_as.async_save = false;
-    out.push(("ca_no_async_save".into(), no_as));
-    out
-}
 
 fn golden_trace() -> Trace {
     Generator::new(ShareGptProfile::default(), 7).trace(20)
@@ -64,7 +21,7 @@ fn golden_trace() -> Trace {
 
 #[test]
 fn every_observer_yields_the_same_report() {
-    for (name, cfg) in scenarios() {
+    for (name, cfg) in golden_scenarios() {
         let trace = golden_trace();
         let baseline = run_trace(cfg.clone(), trace.clone());
         let expect = serde_json::to_string_pretty(&baseline).unwrap();

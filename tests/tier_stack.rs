@@ -7,9 +7,10 @@
 //! every stored session names a configured tier, no tier exceeds its
 //! capacity, pinned sessions are never evicted or demoted, the pools hold
 //! exactly the stored chunks, and every reported transfer is a single
-//! adjacent-tier hop. A final golden test
-//! pins the reduction property: an explicitly constructed 2-tier stack
-//! reproduces the paper-default engine run byte-for-byte.
+//! adjacent-tier hop. A golden test pins the reduction property: an
+//! explicitly constructed 2-tier stack reproduces the paper-default
+//! engine run byte-for-byte. Another pins that the engine's only tier
+//! stack is `store.tiers`: `cluster.tiers` is never read.
 
 use cachedattention::engine::{run_trace, EngineConfig, Mode};
 use cachedattention::models::{ModelSpec, TierSpec, TierStack};
@@ -200,6 +201,26 @@ fn two_tier_stack_reduces_to_the_paper_default() {
     );
 }
 
+/// The engine takes its tier stack from `store.tiers` alone: giving
+/// `cluster.tiers` a different stack leaves the report byte-identical.
+/// If this fails, the engine reads `ClusterSpec::tiers`, and every caller
+/// that resizes the store must keep the two stacks in sync again.
+#[test]
+fn cluster_tiers_are_not_read() {
+    let trace = Generator::new(ShareGptProfile::default(), 99).trace(40);
+    let cfg_a = EngineConfig::paper(Mode::CachedAttention, ModelSpec::llama2_13b());
+    let mut cfg_b = cfg_a.clone();
+    cfg_b.cluster.tiers = TierStack::two_tier(8_000_000_000, 40_000_000_000);
+    assert_ne!(cfg_b.cluster.tiers, cfg_b.store.tiers);
+    let ra = run_trace(cfg_a, trace.clone());
+    let rb = run_trace(cfg_b, trace);
+    assert_eq!(
+        serde_json::to_string_pretty(&ra).unwrap(),
+        serde_json::to_string_pretty(&rb).unwrap(),
+        "the engine read cluster.tiers"
+    );
+}
+
 /// A four-deep stack runs the full engine end-to-end: every session
 /// completes and entries reach below the staging tier.
 #[test]
@@ -213,7 +234,6 @@ fn deep_stack_serves_a_trace_end_to_end() {
         TierSpec::ssd(8 * max_session),
         TierSpec::object_store(12 * max_session),
     ]);
-    cfg.cluster.tiers = cfg.store.tiers.clone();
     let r = run_trace(cfg, trace);
     assert_eq!(r.sessions_done.get(), 30);
     assert!(r.hit_rate() > 0.0);
