@@ -19,7 +19,9 @@
 #    depth-N stack machinery, validated the same way
 # 9. watch smoke: a bursty run through the windowed observability
 #    plane; the windowed JSONL is validated by trace_check --windows
-#    (contiguous windows, well-paired alert timeline)
+#    (contiguous windows, well-paired alert timeline), and the Prometheus
+#    exposition must carry the counter table, not a hand-picked subset
+#    (admitted is a counter the old hand list never exported)
 # 10. share smoke: a shared-prefix run under content-addressed block
 #    keying, validated the same way plus a check that block dedup
 #    events appear — and that a per-session run emits none
@@ -123,6 +125,8 @@ grep -q '"kind":"window_config"' "$SMOKE_DIR/watch_windows.jsonl" \
     || { echo "watch smoke: window_config header missing" >&2; exit 1; }
 grep -q '^cachedattention_turns_arrived_total' "$SMOKE_DIR/watch.prom" \
     || { echo "watch smoke: prometheus exposition missing counters" >&2; exit 1; }
+grep -q '^cachedattention_admitted_total ' "$SMOKE_DIR/watch.prom" \
+    || { echo "watch smoke: prometheus exposition missing the counter table" >&2; exit 1; }
 
 echo "==> share smoke (exp_share content-addressed blocks + trace_check)"
 ./target/release/exp_share --smoke --scenario system_prompt \

@@ -9,7 +9,7 @@
 //! the full telemetry stack attached.
 
 use bench_suite::experiments::{self, e2e};
-use bench_suite::{paper_trace, scaled_config, Scale, TelemetryArgs};
+use bench_suite::{paper_trace, scaled_config, Args, Scale, TelemetryArgs};
 use engine::Mode;
 use models::ModelSpec;
 use std::fmt::Write as _;
@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 fn main() {
     let scale = Scale::from_args();
     let telemetry = TelemetryArgs::from_args();
-    let quick = !std::env::args().any(|a| a == "--paper");
+    let quick = !Args::from_env().has("--paper");
     let (steps, episodes) = if quick { (900, 10) } else { (2_000, 24) };
     let mut out = String::new();
     let mut section = |name: &str, body: String| {

@@ -18,22 +18,15 @@
 //! ```
 
 use bench_suite::experiments::chaos;
-use bench_suite::{paper_trace, scaled_config, Scale, TelemetryArgs, DEFAULT_SEED};
+use bench_suite::{paper_trace, scaled_config, Args, Scale, TelemetryArgs, DEFAULT_SEED};
 use engine::{ClusterConfig, Mode, RouterKind};
 use models::ModelSpec;
-use telemetry::{run_cluster_with_telemetry, to_chrome_trace, to_jsonl};
-
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+use telemetry::run_cluster_with_telemetry;
 
 fn main() {
+    let args = Args::from_env();
     let scale = Scale::from_args();
-    let intensity = flag_value("--intensity").and_then(|s| s.parse::<f64>().ok());
+    let intensity = args.parse::<f64>("--intensity");
 
     let Some(k) = intensity else {
         // Sweep mode: healthy baseline plus three escalating fault mixes.
@@ -42,12 +35,8 @@ fn main() {
     };
 
     // Single-run mode with full telemetry.
-    let n = flag_value("--instances")
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(2);
-    let seed = flag_value("--seed")
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(DEFAULT_SEED);
+    let n = args.parse::<usize>("--instances").unwrap_or(2);
+    let seed = args.parse::<u64>("--seed").unwrap_or(DEFAULT_SEED);
     let outs = TelemetryArgs::from_args();
     let model = ModelSpec::llama2_13b();
     let cfg = scaled_config(Mode::CachedAttention, model, scale);
@@ -55,23 +44,7 @@ fn main() {
     let cluster = ClusterConfig::new(cfg, n, RouterKind::SessionAffinity)
         .with_faults(chaos::chaos_plan(seed, k));
     let (report, tel) = run_cluster_with_telemetry(cluster, trace);
-
-    for path in &outs.trace_outs {
-        let body = if path.extension().is_some_and(|e| e == "jsonl") {
-            to_jsonl(tel.records())
-        } else {
-            to_chrome_trace(tel.records())
-        };
-        std::fs::write(path, body).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        eprintln!(
-            "[exp_chaos] wrote {} ({} events)",
-            path.display(),
-            tel.records().len()
-        );
-    }
-    if let Some(path) = &outs.metrics_out {
-        bench_suite::telemetry_cli::write_snapshot(path, &tel.snapshot());
-    }
+    outs.write(&tel, &[]);
 
     let f = &report.faults;
     println!(

@@ -17,29 +17,15 @@
 //! ```
 
 use bench_suite::experiments::cluster;
-use bench_suite::{paper_trace, scaled_config, Scale, TelemetryArgs};
+use bench_suite::{paper_trace, scaled_config, Args, Scale, TelemetryArgs};
 use engine::{ClusterConfig, Mode, RouterKind};
 use models::ModelSpec;
-use telemetry::{run_cluster_with_telemetry, to_chrome_trace, to_jsonl};
-
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn router_from_args() -> RouterKind {
-    match flag_value("--router").as_deref() {
-        Some("least-loaded") => RouterKind::LeastLoaded,
-        _ => RouterKind::SessionAffinity,
-    }
-}
+use telemetry::run_cluster_with_telemetry;
 
 fn main() {
+    let args = Args::from_env();
     let scale = Scale::from_args();
-    let instances = flag_value("--instances").and_then(|s| s.parse::<usize>().ok());
+    let instances = args.parse::<usize>("--instances");
 
     let Some(n) = instances else {
         // Sweep mode: the full router x instance-count comparison.
@@ -48,29 +34,16 @@ fn main() {
     };
 
     // Single-run mode with full telemetry.
-    let router = router_from_args();
+    let router = match args.value("--router") {
+        Some("least-loaded") => RouterKind::LeastLoaded,
+        _ => RouterKind::SessionAffinity,
+    };
     let outs = TelemetryArgs::from_args();
     let model = ModelSpec::llama2_13b();
     let cfg = scaled_config(Mode::CachedAttention, model, scale);
     let trace = paper_trace(scale, 1.0);
     let (report, tel) = run_cluster_with_telemetry(ClusterConfig::new(cfg, n, router), trace);
-
-    for path in &outs.trace_outs {
-        let body = if path.extension().is_some_and(|e| e == "jsonl") {
-            to_jsonl(tel.records())
-        } else {
-            to_chrome_trace(tel.records())
-        };
-        std::fs::write(path, body).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        eprintln!(
-            "[exp_cluster] wrote {} ({} events)",
-            path.display(),
-            tel.records().len()
-        );
-    }
-    if let Some(path) = &outs.metrics_out {
-        bench_suite::telemetry_cli::write_snapshot(path, &tel.snapshot());
-    }
+    outs.write(&tel, &[]);
 
     let snap = tel.snapshot();
     println!(

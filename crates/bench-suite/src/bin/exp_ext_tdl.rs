@@ -1,7 +1,7 @@
 //! Extension: TDL-based selective KV preservation (§3.4's compression hook).
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = bench_suite::Args::from_env().has("--quick");
     let (steps, episodes) = if quick { (1_600, 24) } else { (4_000, 60) };
     println!(
         "{}",

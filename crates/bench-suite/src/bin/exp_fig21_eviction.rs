@@ -3,12 +3,12 @@
 //! Pass `--window-sweep` for the extra look-ahead-horizon ablation.
 
 use bench_suite::experiments::fig21;
-use bench_suite::Scale;
+use bench_suite::{Args, Scale};
 
 fn main() {
     let scale = Scale::from_args();
     println!("{}", fig21::run(scale));
-    if std::env::args().any(|a| a == "--window-sweep") {
+    if Args::from_env().has("--window-sweep") {
         println!("{}", fig21::window_sweep(scale));
     }
 }

@@ -14,22 +14,16 @@
 //! hides most of its KV transfer; Recompute has nothing to hide).
 
 use bench_suite::profile::{collect_profile, compare, render_table, DEFAULT_TOLERANCE};
+use bench_suite::Args;
 use serde::{Serialize, Value};
 use std::path::PathBuf;
 
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() {
-    let out = arg_value("--out").map(PathBuf::from);
-    let baseline = arg_value("--baseline").map(PathBuf::from);
-    let tolerance = arg_value("--tolerance")
-        .and_then(|s| s.parse::<f64>().ok())
+    let args = Args::from_env();
+    let out = args.value("--out").map(PathBuf::from);
+    let baseline = args.value("--baseline").map(PathBuf::from);
+    let tolerance = args
+        .parse::<f64>("--tolerance")
         .unwrap_or(DEFAULT_TOLERANCE);
 
     let profile = collect_profile();

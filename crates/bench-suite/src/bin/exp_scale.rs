@@ -28,57 +28,44 @@ use bench_suite::experiments::scale::{
     compare_scale, render, run_scale, scale_config, scale_trace, to_bench, ScaleOpts, ScaleRun,
     DEFAULT_HOST_TOLERANCE,
 };
+use bench_suite::Args;
 use serde::{Serialize, Value};
 use sim::{profiler, ProfilerConfig};
 use std::path::PathBuf;
 use telemetry::{run_cluster_with_telemetry, to_chrome_trace_two_clock};
 
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
-}
-
 fn main() {
-    let mut opts = if has_flag("--full") {
+    let args = Args::from_env();
+    let mut opts = if args.has("--full") {
         ScaleOpts::full()
     } else {
         ScaleOpts::bench()
     };
-    if let Some(n) = arg_value("--sessions").and_then(|s| s.parse().ok()) {
+    if let Some(n) = args.parse("--sessions") {
         opts.sessions = n;
     }
-    if let Some(n) = arg_value("--instances").and_then(|s| s.parse().ok()) {
+    if let Some(n) = args.parse("--instances") {
         opts.instances = n;
     }
-    if let Some(r) = arg_value("--rate").and_then(|s| s.parse().ok()) {
+    if let Some(r) = args.parse("--rate") {
         opts.arrival_rate = r;
     }
-    if let Some(h) = arg_value("--heartbeat").and_then(|s| s.parse().ok()) {
+    if let Some(h) = args.parse("--heartbeat") {
         opts.heartbeat_secs = Some(h);
     }
-    if has_flag("--flat") {
+    if args.has("--flat") {
         opts.diurnal = None;
     }
-    let out = arg_value("--out").map(PathBuf::from);
-    let baseline = arg_value("--baseline").map(PathBuf::from);
-    let tolerance = arg_value("--tolerance")
-        .and_then(|s| s.parse::<f64>().ok())
+    let out = args.value("--out").map(PathBuf::from);
+    let baseline = args.value("--baseline").map(PathBuf::from);
+    let tolerance = args
+        .parse::<f64>("--tolerance")
         .unwrap_or(DEFAULT_HOST_TOLERANCE);
-    let trace_outs: Vec<PathBuf> = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter()
-            .enumerate()
-            .filter(|(_, a)| a.as_str() == "--trace-out")
-            .filter_map(|(i, _)| args.get(i + 1).map(PathBuf::from))
-            .collect()
-    };
+    let trace_outs: Vec<PathBuf> = args
+        .values("--trace-out")
+        .into_iter()
+        .map(PathBuf::from)
+        .collect();
 
     let run = if trace_outs.is_empty() {
         run_scale(&opts)

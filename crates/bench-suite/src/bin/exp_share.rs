@@ -21,24 +21,12 @@
 //! ```
 
 use bench_suite::experiments::share;
-use bench_suite::{Scale, TelemetryArgs};
+use bench_suite::{Args, Scale, TelemetryArgs};
 use store::KeyingMode;
-use telemetry::{to_chrome_trace, to_jsonl};
-
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn has_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
 
 fn main() {
-    let scale = if has_flag("--smoke") {
+    let args = Args::from_env();
+    let scale = if args.has("--smoke") {
         Scale {
             sessions: 40,
             warmup_turns: 0,
@@ -47,7 +35,7 @@ fn main() {
         Scale::from_args()
     };
 
-    let Some(which) = flag_value("--scenario") else {
+    let Some(which) = args.value("--scenario") else {
         // Sweep mode: every (scenario, keying) cell through one table.
         print!("{}", share::run(scale));
         return;
@@ -60,7 +48,7 @@ fn main() {
         );
         std::process::exit(1);
     };
-    let keying = match flag_value("--keying").as_deref() {
+    let keying = match args.value("--keying") {
         None | Some("content_addressed") => KeyingMode::ContentAddressed,
         Some("per_session") => KeyingMode::PerSession,
         Some(other) => {
@@ -71,23 +59,7 @@ fn main() {
     let outs = TelemetryArgs::from_args();
 
     let (report, tel) = share::run_one(case.scenario, keying, scale);
-
-    for path in &outs.trace_outs {
-        let body = if path.extension().is_some_and(|e| e == "jsonl") {
-            to_jsonl(tel.records())
-        } else {
-            to_chrome_trace(tel.records())
-        };
-        std::fs::write(path, body).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        eprintln!(
-            "[exp_share] wrote {} ({} events)",
-            path.display(),
-            tel.records().len()
-        );
-    }
-    if let Some(path) = &outs.metrics_out {
-        bench_suite::telemetry_cli::write_snapshot(path, &tel.snapshot());
-    }
+    outs.write(&tel, &[]);
 
     let snap = tel.snapshot();
     let c = &snap.counters;

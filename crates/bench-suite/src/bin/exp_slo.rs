@@ -23,59 +23,37 @@
 //! `trace_check --windows PATH`.
 
 use bench_suite::experiments::slo;
-use bench_suite::{Scale, TelemetryArgs};
-use telemetry::{to_chrome_trace_with_alerts, to_jsonl, to_prometheus, windows_to_jsonl};
-
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+use bench_suite::{Args, Scale, TelemetryArgs};
+use telemetry::{to_prometheus, windows_to_jsonl};
 
 fn main() {
+    let args = Args::from_env();
     let scale = Scale::from_args();
-    let surge_factor = flag_value("--surge-factor")
-        .and_then(|s| s.parse::<f64>().ok())
+    let surge_factor = args
+        .parse::<f64>("--surge-factor")
         .unwrap_or(slo::DEFAULT_SURGE_FACTOR);
-    let target_secs = flag_value("--ttft-target")
-        .and_then(|s| s.parse::<f64>().ok())
+    let target_secs = args
+        .parse::<f64>("--ttft-target")
         .unwrap_or(slo::DEFAULT_TTFT_TARGET_SECS);
     let outs = TelemetryArgs::from_args();
 
     let r = slo::compute(scale, surge_factor, target_secs);
 
-    if let Some(path) = flag_value("--windows-out") {
+    if let Some(path) = args.value("--windows-out") {
         let body = windows_to_jsonl(&r.series, &r.signals, &r.alerts);
-        std::fs::write(&path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        std::fs::write(path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!(
             "[exp_slo] wrote {path} ({} windows, {} alert events)",
             r.series.windows.len(),
             r.alerts.len()
         );
     }
-    if let Some(path) = flag_value("--prom-out") {
+    if let Some(path) = args.value("--prom-out") {
         let body = to_prometheus(&r.telemetry.snapshot());
-        std::fs::write(&path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        std::fs::write(path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("[exp_slo] wrote {path}");
     }
-    for path in &outs.trace_outs {
-        let body = if path.extension().is_some_and(|e| e == "jsonl") {
-            to_jsonl(r.telemetry.records())
-        } else {
-            to_chrome_trace_with_alerts(r.telemetry.records(), &r.alerts)
-        };
-        std::fs::write(path, body).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        eprintln!(
-            "[exp_slo] wrote {} ({} events)",
-            path.display(),
-            r.telemetry.records().len()
-        );
-    }
-    if let Some(path) = &outs.metrics_out {
-        bench_suite::telemetry_cli::write_snapshot(path, &r.telemetry.snapshot());
-    }
+    outs.write(&r.telemetry, &r.alerts);
 
     println!(
         "exp_slo: {} sessions, {surge_factor:.0}x flash crowd, TTFT deadline {target_secs:.1}s",

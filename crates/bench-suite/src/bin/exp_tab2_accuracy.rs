@@ -1,7 +1,7 @@
 //! Table 2: accuracy of CA / TT / NKVT on trained tiny RoPE LMs.
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = bench_suite::Args::from_env().has("--quick");
     let (steps, episodes) = if quick { (700, 8) } else { (2_000, 24) };
     println!(
         "{}",

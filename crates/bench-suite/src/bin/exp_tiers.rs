@@ -21,28 +21,17 @@
 //! ```
 
 use bench_suite::experiments::tiers;
-use bench_suite::{paper_trace, scaled_config, Scale, TelemetryArgs, DEFAULT_SEED};
+use bench_suite::{paper_trace, scaled_config, Args, Scale, TelemetryArgs, DEFAULT_SEED};
 use engine::{ClusterConfig, Mode, RouterKind};
 use models::ModelSpec;
-use telemetry::{run_cluster_with_telemetry, to_chrome_trace, to_jsonl};
-
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn has_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
+use telemetry::run_cluster_with_telemetry;
 
 fn main() {
+    let args = Args::from_env();
     let scale = Scale::from_args();
-    let faulted = !has_flag("--healthy");
+    let faulted = !args.has("--healthy");
 
-    let Some(which) = flag_value("--stack") else {
+    let Some(which) = args.value("--stack") else {
         // Sweep mode: every candidate stack through one table.
         print!("{}", tiers::render(&tiers::compute(scale, faulted)));
         return;
@@ -51,7 +40,7 @@ fn main() {
     // Single-run mode with full telemetry.
     let model = ModelSpec::llama2_13b();
     let mut cases = tiers::stack_cases(scale, &model);
-    let idx = match which.as_str() {
+    let idx = match which {
         "paper" => 0,
         "pooled" => 1,
         "object" => 2,
@@ -62,9 +51,7 @@ fn main() {
         }
     };
     let case = cases.swap_remove(idx);
-    let seed = flag_value("--seed")
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(DEFAULT_SEED);
+    let seed = args.parse::<u64>("--seed").unwrap_or(DEFAULT_SEED);
     let outs = TelemetryArgs::from_args();
 
     let mut cfg = scaled_config(Mode::CachedAttention, model, scale);
@@ -75,23 +62,7 @@ fn main() {
         cluster = cluster.with_faults(tiers::tier_plan(seed));
     }
     let (report, tel) = run_cluster_with_telemetry(cluster, trace);
-
-    for path in &outs.trace_outs {
-        let body = if path.extension().is_some_and(|e| e == "jsonl") {
-            to_jsonl(tel.records())
-        } else {
-            to_chrome_trace(tel.records())
-        };
-        std::fs::write(path, body).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        eprintln!(
-            "[exp_tiers] wrote {} ({} events)",
-            path.display(),
-            tel.records().len()
-        );
-    }
-    if let Some(path) = &outs.metrics_out {
-        bench_suite::telemetry_cli::write_snapshot(path, &tel.snapshot());
-    }
+    outs.write(&tel, &[]);
 
     let snap = tel.snapshot();
     println!(

@@ -13,50 +13,25 @@
 //! it doubles as a quick sanity check that observation is free: the
 //! printed hit rate must match `exp_fig13_hitrate` at the same scale.
 
-use bench_suite::{paper_trace, scaled_config, Scale, TelemetryArgs};
+use bench_suite::{paper_trace, scaled_config, Args, Scale, TelemetryArgs};
 use engine::Mode;
 use models::ModelSpec;
-use telemetry::{run_with_telemetry, to_chrome_trace, to_jsonl};
-
-fn mode_from_args() -> Mode {
-    let args: Vec<String> = std::env::args().collect();
-    match args
-        .iter()
-        .position(|a| a == "--mode")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        Some("RE") => Mode::Recompute,
-        Some("OF") => Mode::CoupledOverflow,
-        _ => Mode::CachedAttention,
-    }
-}
+use telemetry::run_with_telemetry;
 
 fn main() {
     let scale = Scale::from_args();
-    let mode = mode_from_args();
+    let mode = match Args::from_env().value("--mode") {
+        Some("RE") => Mode::Recompute,
+        Some("OF") => Mode::CoupledOverflow,
+        _ => Mode::CachedAttention,
+    };
     let outs = TelemetryArgs::from_args();
     let model = ModelSpec::llama2_13b();
     let cfg = scaled_config(mode, model, scale);
     let trace = paper_trace(scale, 1.0);
 
     let (report, tel) = run_with_telemetry(cfg, trace);
-    for path in &outs.trace_outs {
-        let body = if path.extension().is_some_and(|e| e == "jsonl") {
-            to_jsonl(tel.records())
-        } else {
-            to_chrome_trace(tel.records())
-        };
-        std::fs::write(path, body).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        eprintln!(
-            "[exp_trace] wrote {} ({} events)",
-            path.display(),
-            tel.records().len()
-        );
-    }
-    if let Some(path) = &outs.metrics_out {
-        bench_suite::telemetry_cli::write_snapshot(path, &tel.snapshot());
-    }
+    outs.write(&tel, &[]);
 
     let snap = tel.snapshot();
     let c = &snap.counters;

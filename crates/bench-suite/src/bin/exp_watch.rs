@@ -20,63 +20,35 @@
 //! `trace_check --windows PATH`.
 
 use bench_suite::experiments::watch;
-use bench_suite::{Scale, TelemetryArgs};
-use telemetry::{
-    to_chrome_trace_with_alerts, to_jsonl, to_prometheus, windows_to_jsonl, SloConfig,
-};
-
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+use bench_suite::{Args, Scale, TelemetryArgs};
+use telemetry::{to_prometheus, windows_to_jsonl, SloConfig};
 
 fn main() {
+    let args = Args::from_env();
     let scale = Scale::from_args();
-    let window_secs = flag_value("--window-secs")
-        .and_then(|s| s.parse::<f64>().ok())
+    let window_secs = args
+        .parse::<f64>("--window-secs")
         .unwrap_or(watch::DEFAULT_WINDOW_SECS);
-    let slo = SloConfig::new(
-        flag_value("--slo-ttft-p99")
-            .and_then(|s| s.parse::<f64>().ok())
-            .unwrap_or(1.0),
-    );
+    let slo = SloConfig::new(args.parse::<f64>("--slo-ttft-p99").unwrap_or(1.0));
     let outs = TelemetryArgs::from_args();
 
     let run = watch::run_watch(scale, window_secs, slo);
 
-    if let Some(path) = flag_value("--windows-out") {
+    if let Some(path) = args.value("--windows-out") {
         let body = windows_to_jsonl(&run.series, &run.signals, &run.alerts);
-        std::fs::write(&path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        std::fs::write(path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!(
             "[exp_watch] wrote {path} ({} windows, {} alert events)",
             run.series.windows.len(),
             run.alerts.len()
         );
     }
-    if let Some(path) = flag_value("--prom-out") {
+    if let Some(path) = args.value("--prom-out") {
         let body = to_prometheus(&run.telemetry.snapshot());
-        std::fs::write(&path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        std::fs::write(path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("[exp_watch] wrote {path}");
     }
-    for path in &outs.trace_outs {
-        let body = if path.extension().is_some_and(|e| e == "jsonl") {
-            to_jsonl(run.telemetry.records())
-        } else {
-            to_chrome_trace_with_alerts(run.telemetry.records(), &run.alerts)
-        };
-        std::fs::write(path, body).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        eprintln!(
-            "[exp_watch] wrote {} ({} events)",
-            path.display(),
-            run.telemetry.records().len()
-        );
-    }
-    if let Some(path) = &outs.metrics_out {
-        bench_suite::telemetry_cli::write_snapshot(path, &run.telemetry.snapshot());
-    }
+    outs.write(&run.telemetry, &run.alerts);
 
     println!(
         "exp_watch: {} sessions (bursty), window {:.0}s",

@@ -72,6 +72,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::process::ExitCode;
 
+use bench_suite::Args;
 use serde::Value;
 use telemetry::check_record;
 
@@ -80,14 +81,6 @@ const REQUIRED_CATEGORIES: [&str; 6] = ["session", "sched", "gpu", "cache", "tie
 
 /// The header every other `overload`-category event is gated on.
 const SLO_HEADER: &str = "slo_config";
-
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("[trace_check] FAIL: {msg}");
@@ -875,6 +868,7 @@ fn check_windows(path: &str) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
+    let args = Args::from_env();
     let mut checked = false;
     for (flag, check) in [
         ("--jsonl", check_jsonl as fn(&str) -> Result<(), String>),
@@ -883,9 +877,9 @@ fn main() -> ExitCode {
         ("--windows", check_windows),
         ("--self-profile", check_self_profile),
     ] {
-        if let Some(path) = arg_value(flag) {
+        if let Some(path) = args.value(flag) {
             checked = true;
-            if let Err(msg) = check(&path) {
+            if let Err(msg) = check(path) {
                 return fail(&msg);
             }
         }
@@ -902,10 +896,12 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bench_suite::telemetry_cli::render_trace;
     use engine::{ConsultClass, EngineEvent};
     use sim::Time;
+    use std::path::Path;
     use store::{StoreEvent, TierId};
-    use telemetry::{to_chrome_trace, to_jsonl, TraceEvent, TraceRecord};
+    use telemetry::{to_chrome_trace, TraceEvent, TraceRecord};
 
     fn t(secs: f64) -> Time {
         Time::from_secs_f64(secs)
@@ -921,16 +917,34 @@ mod tests {
                 capacity: 1_000,
                 at: t(0.0),
             }),
-            TraceEvent::Engine(EngineEvent::turn_arrived(1, 0, t(0.0))),
-            TraceEvent::Engine(EngineEvent::consulted(
-                1,
-                ConsultClass::NoHistory,
-                0,
-                t(0.0),
-            )),
-            TraceEvent::Engine(EngineEvent::admitted(1, 0, 10, false, t(0.1))),
-            TraceEvent::Engine(EngineEvent::prefill_done(1, 0.1, t(0.2))),
-            TraceEvent::Engine(EngineEvent::retired(1, 20, t(0.5))),
+            TraceEvent::Engine(EngineEvent::TurnArrived {
+                session: 1,
+                turn: 0,
+                at: t(0.0),
+            }),
+            TraceEvent::Engine(EngineEvent::Consulted {
+                session: 1,
+                class: ConsultClass::NoHistory,
+                reused: 0,
+                at: t(0.0),
+            }),
+            TraceEvent::Engine(EngineEvent::Admitted {
+                session: 1,
+                reused: 0,
+                computed: 10,
+                chunked: false,
+                at: t(0.1),
+            }),
+            TraceEvent::Engine(EngineEvent::PrefillDone {
+                session: 1,
+                ttft_secs: 0.1,
+                at: t(0.2),
+            }),
+            TraceEvent::Engine(EngineEvent::Retired {
+                session: 1,
+                new_hist: 20,
+                at: t(0.5),
+            }),
             TraceEvent::Store(StoreEvent::Saved {
                 session: 1,
                 bytes: 64,
@@ -955,7 +969,7 @@ mod tests {
                 ev,
             })
             .collect();
-        to_jsonl(&records)
+        render_trace(Path::new("t.jsonl"), &records, &[])
     }
 
     /// `valid_trace` with the first `from` on line `line` replaced.
@@ -1049,7 +1063,11 @@ mod tests {
         );
         // The exporter's own output, prefetch flow included.
         let records: Vec<TraceRecord> = [
-            TraceEvent::Engine(EngineEvent::turn_arrived(7, 0, t(0.0))),
+            TraceEvent::Engine(EngineEvent::TurnArrived {
+                session: 7,
+                turn: 0,
+                at: t(0.0),
+            }),
             TraceEvent::Store(StoreEvent::Promoted {
                 session: 7,
                 bytes: 100,
@@ -1065,8 +1083,19 @@ mod tests {
                 instance: None,
                 at: t(0.005),
             }),
-            TraceEvent::Engine(EngineEvent::admitted(7, 100, 50, false, t(0.008))),
-            TraceEvent::Engine(EngineEvent::hbm_reserved(7, 10, 100, t(0.008))),
+            TraceEvent::Engine(EngineEvent::Admitted {
+                session: 7,
+                reused: 100,
+                computed: 50,
+                chunked: false,
+                at: t(0.008),
+            }),
+            TraceEvent::Engine(EngineEvent::HbmReserved {
+                session: 7,
+                reserved_bytes: 10,
+                budget_bytes: 100,
+                at: t(0.008),
+            }),
         ]
         .into_iter()
         .enumerate()

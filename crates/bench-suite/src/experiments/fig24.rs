@@ -5,9 +5,9 @@
 //! 3.4/1.7/7.7/19.1% (13B/65B/70B/Falcon); the full DRAM+SSD hierarchy
 //! reaches 86/71/89/90%.
 
-use engine::{run_trace, EngineConfig, Medium, Mode, RunReport};
+use engine::{run_trace, EngineConfig, Mode, RunReport};
 use metrics::table::{pct, Table};
-use models::ModelSpec;
+use models::{ModelSpec, TierSpec, TierStack};
 
 use crate::{paper_trace, Scale};
 
@@ -40,28 +40,19 @@ pub fn run_cell(model: ModelSpec, medium: MediumConfig, scale: Scale) -> RunRepo
     let f = scale.capacity_factor();
     let max_session = cfg.model.kv_bytes(cfg.model.context_window as u64);
     let scaled = |bytes: u64| (bytes as f64 * f) as u64;
-    match medium {
-        MediumConfig::HbmOnly => {
-            cfg.medium = Medium::HbmOnly;
-            cfg.store
-                .set_dram_bytes(scaled(10_000_000_000).max(max_session));
-            cfg.store.set_disk_bytes(0);
-        }
-        MediumConfig::HbmDram => {
-            cfg.medium = Medium::HbmDram;
-            cfg.store
-                .set_dram_bytes(scaled(10_000_000_000).max(max_session));
-            cfg.store
-                .set_disk_bytes(scaled(128_000_000_000).max(5 * max_session));
-        }
-        MediumConfig::DramDisk => {
-            cfg.medium = Medium::DramDisk;
-            cfg.store
-                .set_dram_bytes(scaled(cfg.store.dram_bytes()).max(5 * max_session));
-            cfg.store
-                .set_disk_bytes(scaled(cfg.store.disk_bytes()).max(25 * max_session));
-        }
-    }
+    let hbm = TierSpec::hbm(scaled(10_000_000_000).max(max_session));
+    cfg.store.tiers = match medium {
+        // HBM alone: the DRAM tier below it holds nothing.
+        MediumConfig::HbmOnly => TierStack::new(vec![hbm, TierSpec::dram(0)]),
+        MediumConfig::HbmDram => TierStack::new(vec![
+            hbm,
+            TierSpec::dram(scaled(128_000_000_000).max(5 * max_session)),
+        ]),
+        MediumConfig::DramDisk => TierStack::two_tier(
+            scaled(cfg.store.dram_bytes()).max(5 * max_session),
+            scaled(cfg.store.disk_bytes()).max(25 * max_session),
+        ),
+    };
     run_trace(cfg, paper_trace(scale, 1.0))
 }
 

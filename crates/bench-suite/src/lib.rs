@@ -5,16 +5,18 @@
 //! Every binary in `src/bin/` regenerates one of the paper's tables or
 //! figures (see `DESIGN.md` for the index). This library holds the pieces
 //! they share: workload construction, the four-model end-to-end runner,
-//! and simple CLI parsing.
+//! and the one command-line reader ([`Args`]).
 
 use engine::{run_trace, EngineConfig, Mode, RunReport};
 use models::ModelSpec;
 use workload::{Generator, ShareGptProfile, Trace};
 
+pub mod cli;
 pub mod experiments;
 pub mod profile;
 pub mod telemetry_cli;
 
+pub use cli::Args;
 pub use telemetry_cli::TelemetryArgs;
 
 /// Default seed used by every experiment unless overridden.
@@ -59,19 +61,17 @@ impl Scale {
     /// [`Scale::quick`]. Warmup stays proportional (~19% of turns, like
     /// the paper's 10K/52K).
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        if args.iter().any(|a| a == "--paper") {
+        let args = Args::from_env();
+        if args.has("--paper") {
             return Scale::paper();
         }
-        if let Some(pos) = args.iter().position(|a| a == "--sessions") {
-            if let Some(n) = args.get(pos + 1).and_then(|s| s.parse::<usize>().ok()) {
-                return Scale {
-                    sessions: n,
-                    warmup_turns: n * 11 / 10,
-                };
-            }
+        match args.parse::<usize>("--sessions") {
+            Some(n) => Scale {
+                sessions: n,
+                warmup_turns: n * 11 / 10,
+            },
+            None => Scale::quick(),
         }
-        Scale::quick()
     }
 }
 

@@ -1,8 +1,8 @@
 //! The continuous perf-regression harness behind `exp_profile`.
 //!
 //! A bench profile is a deterministic fingerprint of serving latency:
-//! the 13 canonical scenarios (CA/RE/OF × DramDisk/HbmDram/HbmOnly
-//! placements plus the four CA ablations — the same matrix the golden
+//! the 13 canonical scenarios (CA/RE/OF × DRAM+SSD/HBM+DRAM/HBM-only
+//! tier stacks plus the four CA ablations — the same matrix the golden
 //! report fixtures pin) each run under full telemetry, fold into a
 //! [`SpanForest`], and contribute one row of TTFT percentiles, stage
 //! means, overlap efficiency and hit rate. Because the simulator is
@@ -18,8 +18,8 @@
 //!   means the workload or format changed — regenerate the baseline
 //!   with `REGEN_BENCH=1 ./ci.sh`).
 
-use engine::{EngineConfig, Medium, Mode};
-use models::ModelSpec;
+use engine::{EngineConfig, Mode};
+use models::{ModelSpec, TierSpec, TierStack};
 use serde::{Serialize, Value};
 use telemetry::{run_with_telemetry, SpanForest};
 use workload::{Generator, ShareGptProfile};
@@ -98,47 +98,54 @@ pub const MODES: [Mode; 3] = [
     Mode::CoupledOverflow,
 ];
 
-/// The placement mediums of the canonical matrix with the labels their
-/// fixture names use, in matrix order.
-pub const MEDIUMS: [(Medium, &str); 3] = [
-    (Medium::DramDisk, "dramdisk"),
-    (Medium::HbmDram, "hbmdram"),
-    (Medium::HbmOnly, "hbmonly"),
-];
+const GB: u64 = 1_000_000_000;
+
+/// The tier stacks of the canonical matrix with the labels their
+/// fixture names use, in matrix order: DRAM 8 GB over SSD 40 GB, HBM
+/// 8 GB over DRAM 40 GB, and HBM 8 GB over a zero-byte DRAM tier (HBM
+/// only, Fig 24's shape).
+pub fn mediums() -> [(TierStack, &'static str); 3] {
+    let hbm_over_dram = |dram| TierStack::new(vec![TierSpec::hbm(8 * GB), TierSpec::dram(dram)]);
+    [
+        (TierStack::two_tier(8 * GB, 40 * GB), "dramdisk"),
+        (hbm_over_dram(40 * GB), "hbmdram"),
+        (hbm_over_dram(0), "hbmonly"),
+    ]
+}
 
 /// The goldens' pressured store: LLaMA-13B on the paper engine with
 /// 8 GB of DRAM over 40 GB of disk, small enough that 20 sessions of KV
 /// overflow DRAM and spill to the slow tier, exercising eviction,
 /// prefetch and both transfer links.
-pub fn pressured(mode: Mode, medium: Medium) -> EngineConfig {
+pub fn pressured(mode: Mode) -> EngineConfig {
     let mut cfg = EngineConfig::paper(mode, ModelSpec::llama2_13b());
-    cfg.medium = medium;
-    cfg.store.set_dram_bytes(8_000_000_000);
-    cfg.store.set_disk_bytes(40_000_000_000);
+    cfg.store.tiers = TierStack::two_tier(8 * GB, 40 * GB);
     cfg
 }
 
-/// The canonical scenario matrix: every mode × placement medium under
-/// the [`pressured`] store, plus the four CachedAttention ablations.
-/// Names match `tests/golden/*.json`.
+/// The canonical scenario matrix: every mode × tier stack of
+/// [`mediums`] on the [`pressured`] engine, plus the four
+/// CachedAttention ablations. Names match `tests/golden/*.json`.
 pub fn golden_scenarios() -> Vec<(String, EngineConfig)> {
     let mut out = Vec::new();
     for mode in MODES {
-        for (medium, label) in MEDIUMS {
+        for (tiers, label) in mediums() {
             let name = format!("{}_{}", mode.label().to_lowercase(), label);
-            out.push((name, pressured(mode, medium)));
+            let mut cfg = pressured(mode);
+            cfg.store.tiers = tiers;
+            out.push((name, cfg));
         }
     }
-    let mut chunked = pressured(Mode::CachedAttention, Medium::DramDisk);
+    let mut chunked = pressured(Mode::CachedAttention);
     chunked.chunked_prefill_tokens = Some(256);
     out.push(("ca_dramdisk_chunked".into(), chunked));
-    let mut int4 = pressured(Mode::CachedAttention, Medium::DramDisk);
+    let mut int4 = pressured(Mode::CachedAttention);
     int4.kv_compression = 0.25;
     out.push(("ca_dramdisk_int4".into(), int4));
-    let mut no_pl = pressured(Mode::CachedAttention, Medium::DramDisk);
+    let mut no_pl = pressured(Mode::CachedAttention);
     no_pl.preload = false;
     out.push(("ca_dramdisk_no_preload".into(), no_pl));
-    let mut no_as = pressured(Mode::CachedAttention, Medium::DramDisk);
+    let mut no_as = pressured(Mode::CachedAttention);
     no_as.async_save = false;
     out.push(("ca_dramdisk_no_async_save".into(), no_as));
     out

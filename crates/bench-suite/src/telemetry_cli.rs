@@ -6,8 +6,10 @@
 //!   trace of the telemetry run. `.jsonl` paths get JSON Lines (one
 //!   self-describing object per event); any other extension gets the
 //!   Chrome trace-event format, which Perfetto and `chrome://tracing`
-//!   open directly.
-//! - `--metrics-out PATH`: write the aggregated [`MetricsSnapshot`] as
+//!   open directly, with the run's alerts as global instants when it
+//!   has any.
+//! - `--metrics-out PATH`: write the aggregated
+//!   [`MetricsSnapshot`](telemetry::MetricsSnapshot) as
 //!   pretty-printed JSON.
 //!
 //! Telemetry is strictly read-only, so the returned [`RunReport`] is
@@ -16,8 +18,12 @@
 use std::path::{Path, PathBuf};
 
 use engine::{run_trace, EngineConfig, RunReport};
-use telemetry::{run_with_telemetry, to_chrome_trace, to_jsonl, MetricsSnapshot};
+use telemetry::{
+    run_with_telemetry, to_chrome_trace_with_alerts, to_jsonl, AlertEvent, Telemetry, TraceRecord,
+};
 use workload::Trace;
+
+use crate::Args;
 
 /// Parsed `--trace-out` / `--metrics-out` flags.
 #[derive(Debug, Clone, Default)]
@@ -31,28 +37,15 @@ pub struct TelemetryArgs {
 impl TelemetryArgs {
     /// Parses the flags from the process arguments.
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let mut out = TelemetryArgs::default();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--trace-out" => {
-                    if let Some(p) = args.get(i + 1) {
-                        out.trace_outs.push(PathBuf::from(p));
-                        i += 1;
-                    }
-                }
-                "--metrics-out" => {
-                    if let Some(p) = args.get(i + 1) {
-                        out.metrics_out = Some(PathBuf::from(p));
-                        i += 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
+        let args = Args::from_env();
+        TelemetryArgs {
+            trace_outs: args
+                .values("--trace-out")
+                .into_iter()
+                .map(PathBuf::from)
+                .collect(),
+            metrics_out: args.value("--metrics-out").map(PathBuf::from),
         }
-        out
     }
 
     /// Whether any telemetry output was requested.
@@ -69,13 +62,15 @@ impl TelemetryArgs {
             return run_trace(cfg, trace);
         }
         let (report, tel) = run_with_telemetry(cfg, trace);
+        self.write(&tel, &[]);
+        report
+    }
+
+    /// Writes `tel`'s trace to every `--trace-out` path (see
+    /// [`render_trace`]) and its metrics snapshot to `--metrics-out`.
+    pub fn write(&self, tel: &Telemetry, alerts: &[AlertEvent]) {
         for path in &self.trace_outs {
-            let body = if is_jsonl(path) {
-                to_jsonl(tel.records())
-            } else {
-                to_chrome_trace(tel.records())
-            };
-            write_out(path, &body);
+            write_out(path, &render_trace(path, tel.records(), alerts));
             eprintln!(
                 "[telemetry] wrote {} ({} events)",
                 path.display(),
@@ -83,9 +78,22 @@ impl TelemetryArgs {
             );
         }
         if let Some(path) = &self.metrics_out {
-            write_snapshot(path, &tel.snapshot());
+            let body =
+                serde_json::to_string_pretty(&tel.snapshot()).expect("snapshot always serializes");
+            write_out(path, &body);
+            eprintln!("[telemetry] wrote {}", path.display());
         }
-        report
+    }
+}
+
+/// Renders `records` in the format `path` asks for: JSON Lines for a
+/// `.jsonl` path, otherwise a Chrome trace with `alerts` as global
+/// instants.
+pub fn render_trace(path: &Path, records: &[TraceRecord], alerts: &[AlertEvent]) -> String {
+    if is_jsonl(path) {
+        to_jsonl(records)
+    } else {
+        to_chrome_trace_with_alerts(records, alerts)
     }
 }
 
@@ -95,13 +103,6 @@ fn is_jsonl(path: &Path) -> bool {
 
 fn write_out(path: &Path, body: &str) {
     std::fs::write(path, body).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-}
-
-/// Writes a [`MetricsSnapshot`] as pretty-printed JSON.
-pub fn write_snapshot(path: &Path, snap: &MetricsSnapshot) {
-    let body = serde_json::to_string_pretty(snap).expect("snapshot always serializes");
-    write_out(path, &body);
-    eprintln!("[telemetry] wrote {}", path.display());
 }
 
 #[cfg(test)]

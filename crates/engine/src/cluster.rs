@@ -40,7 +40,7 @@ use crate::scheduler;
 use crate::slo::{OverloadLevel, ScaleDecision, SloPolicy, SloState};
 use crate::transfer::FaultedConsult;
 use crate::truncate;
-use crate::{EngineConfig, Medium, Mode, RunReport};
+use crate::{EngineConfig, Mode, RunReport};
 
 /// Simulation events (public because [`ClusterSim`] implements
 /// [`World<Event = Ev>`]; not constructed by users directly).
@@ -83,12 +83,12 @@ pub struct ClusterConfig {
     /// Which router dispatches arriving turns.
     pub router: RouterKind,
     /// Scripted faults injected into the run (`None` = fault-free; an
-    /// empty plan is normalized to `None`, so the fault layer is strictly
-    /// additive and fault-free runs stay byte-identical).
+    /// empty plan acts as `None`, so the fault layer is strictly additive
+    /// and fault-free runs stay byte-identical).
     pub faults: Option<FaultPlan>,
     /// The overload-robustness policy (`None` = no SLO; the no-op policy
-    /// is normalized to `None`, so the overload layer is strictly
-    /// additive and SLO-free runs stay byte-identical).
+    /// acts as `None`, so the overload layer is strictly additive and
+    /// SLO-free runs stay byte-identical).
     pub slo: Option<SloPolicy>,
 }
 
@@ -110,15 +110,15 @@ impl ClusterConfig {
         ClusterConfig::new(engine, 1, RouterKind::SessionAffinity)
     }
 
-    /// Installs a fault plan for the run. Empty plans are dropped.
+    /// Installs a fault plan for the run.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = if plan.is_empty() { None } else { Some(plan) };
+        self.faults = Some(plan);
         self
     }
 
-    /// Installs an SLO overload policy. No-op policies are dropped.
+    /// Installs an SLO overload policy.
     pub fn with_slo(mut self, policy: SloPolicy) -> Self {
-        self.slo = if policy.is_noop() { None } else { Some(policy) };
+        self.slo = Some(policy);
         self
     }
 }
@@ -245,11 +245,9 @@ pub struct ClusterSim<O: EngineObserver = NullObserver> {
     obs: O,
     /// The run's fault plan (`None` = fault-free; crashes and pressure
     /// spikes are only scheduled when set).
-    faults: Option<FaultPlan>,
-    recompute_fallbacks: u64,
-    instance_crashes: u64,
-    turns_rerouted: u64,
-    pressure_events: u64,
+    fault_plan: Option<FaultPlan>,
+    /// Fault-path counters; `finish` adds the store's side.
+    faults: FaultReport,
     /// The run's SLO policy (`None` = SLO-free; the overload paths are
     /// only taken when set).
     slo: Option<SloPolicy>,
@@ -257,15 +255,8 @@ pub struct ClusterSim<O: EngineObserver = NullObserver> {
     /// One admission ledger per instance, indexed like `instances`.
     /// Empty when no SLO policy is installed.
     inboxes: Vec<BoundedInbox>,
-    turns_shed: u64,
-    degraded_recomputes: u64,
-    hard_truncations: u64,
-    level_transitions: u64,
-    scale_ups: u64,
-    scale_downs: u64,
-    slo_attained: u64,
-    slo_missed: u64,
-    peak_instances: usize,
+    /// Overload-path counters.
+    overload: OverloadReport,
     // Reusable scratch buffers: the merged queue view and router loads
     // are rebuilt at every consultation, and per-consultation allocation
     // was the hot path the snapshot_into refactor removed.
@@ -305,6 +296,9 @@ impl<O: EngineObserver> ClusterSim<O> {
             faults,
             slo,
         } = cfg;
+        // An empty plan and a no-op policy are no plan and no policy, so
+        // both layers are strictly additive: runs without them stay
+        // byte-identical.
         let faults = faults.filter(|p| !p.is_empty());
         let slo = slo.filter(|p| !p.is_noop());
         let mut store = match engine.mode {
@@ -342,7 +336,10 @@ impl<O: EngineObserver> ClusterSim<O> {
                 .collect(),
             None => Vec::new(),
         };
-        let peak_instances = if slo.is_some() { n_instances } else { 0 };
+        let overload = OverloadReport {
+            peak_instances: if slo.is_some() { n_instances as u64 } else { 0 },
+            ..OverloadReport::default()
+        };
         ClusterSim {
             cfg: engine,
             trace,
@@ -356,23 +353,12 @@ impl<O: EngineObserver> ClusterSim<O> {
             last_completion: Time::ZERO,
             report,
             obs,
-            faults,
-            recompute_fallbacks: 0,
-            instance_crashes: 0,
-            turns_rerouted: 0,
-            pressure_events: 0,
+            fault_plan: faults,
+            faults: FaultReport::default(),
             slo,
             slo_state: SloState::default(),
             inboxes,
-            turns_shed: 0,
-            degraded_recomputes: 0,
-            hard_truncations: 0,
-            level_transitions: 0,
-            scale_ups: 0,
-            scale_downs: 0,
-            slo_attained: 0,
-            slo_missed: 0,
-            peak_instances,
+            overload,
             scratch_snapshot: Vec::new(),
             scratch_triples: Vec::new(),
             scratch_order: Vec::new(),
@@ -402,7 +388,7 @@ impl<O: EngineObserver> ClusterSim<O> {
         if self.cfg.store.ttl.is_some() && self.cfg.mode != Mode::Recompute {
             q.push(Time::from_secs_f64(30.0), Ev::Sweep);
         }
-        if let Some(plan) = &self.faults {
+        if let Some(plan) = &self.fault_plan {
             for c in &plan.crashes {
                 q.push(c.at, Ev::Crash(c.instance));
             }
@@ -413,11 +399,11 @@ impl<O: EngineObserver> ClusterSim<O> {
         if let Some(p) = &self.slo {
             // The header event announcing the policy: every other
             // overload-category event is gated on its presence.
-            let header = EngineEvent::slo_config(
-                p.ttft_target.as_secs_f64(),
-                p.inbox_capacity.min(u32::MAX as usize) as u64,
-                Time::ZERO,
-            );
+            let header = EngineEvent::SloConfig {
+                ttft_target_secs: p.ttft_target.as_secs_f64(),
+                inbox_capacity: p.inbox_capacity.min(u32::MAX as usize) as u64,
+                at: Time::ZERO,
+            };
             let first_tick = Time::ZERO + p.tick;
             self.obs.on_instance_event(0, header);
             q.push(first_tick, Ev::SloTick);
@@ -449,32 +435,14 @@ impl<O: EngineObserver> ClusterSim<O> {
         if let Some(store) = &self.store {
             self.report.store_stats = *store.stats();
         }
-        let mut faults = FaultReport {
-            recompute_fallbacks: self.recompute_fallbacks,
-            instance_crashes: self.instance_crashes,
-            turns_rerouted: self.turns_rerouted,
-            pressure_events: self.pressure_events,
-            ..FaultReport::default()
-        };
         if let Some(store) = &self.store {
             let fs = store.fault_stats();
-            faults.read_retries = fs.read_retries;
-            faults.read_failures = fs.read_failures;
-            faults.write_retries = fs.write_retries;
-            faults.write_failures = fs.write_failures;
-            faults.corruptions_detected = fs.corruptions_detected;
+            self.faults.read_retries = fs.read_retries;
+            self.faults.read_failures = fs.read_failures;
+            self.faults.write_retries = fs.write_retries;
+            self.faults.write_failures = fs.write_failures;
+            self.faults.corruptions_detected = fs.corruptions_detected;
         }
-        let overload = OverloadReport {
-            turns_shed: self.turns_shed,
-            degraded_recomputes: self.degraded_recomputes,
-            hard_truncations: self.hard_truncations,
-            level_transitions: self.level_transitions,
-            scale_ups: self.scale_ups,
-            scale_downs: self.scale_downs,
-            slo_attained: self.slo_attained,
-            slo_missed: self.slo_missed,
-            peak_instances: self.peak_instances as u64,
-        };
         let instances: Vec<InstanceReport> = self.instances.iter().map(|i| i.report()).collect();
         let dedup = self
             .store
@@ -486,8 +454,8 @@ impl<O: EngineObserver> ClusterSim<O> {
                 aggregate: self.report,
                 router: self.router.label(),
                 instances,
-                faults,
-                overload,
+                faults: self.faults,
+                overload: self.overload,
                 dedup,
             },
             self.obs,
@@ -661,7 +629,7 @@ impl<O: EngineObserver> ClusterSim<O> {
             return hist;
         }
         if hard {
-            self.hard_truncations += 1;
+            self.overload.hard_truncations += 1;
         }
         if measured {
             self.report.truncations.incr();
@@ -670,8 +638,15 @@ impl<O: EngineObserver> ClusterSim<O> {
         let bytes = self.cfg.stored_kv_bytes(out.new_hist);
         truncate::apply_store_effect(self.cfg.mode, self.store.as_mut(), sid, bytes, out.new_hist);
         self.sessions[session].hist_tokens = out.new_hist;
-        self.obs
-            .on_instance_event(inst, EngineEvent::truncated(sid.0, hist, out.new_hist, now));
+        self.obs.on_instance_event(
+            inst,
+            EngineEvent::Truncated {
+                session: sid.0,
+                old_hist: hist,
+                new_hist: out.new_hist,
+                at: now,
+            },
+        );
         out.new_hist
     }
 
@@ -703,14 +678,27 @@ impl<O: EngineObserver> ClusterSim<O> {
             };
             if let Some(reason) = reason {
                 let sid = self.sid(session);
-                self.obs
-                    .on_instance_event(inst, EngineEvent::turn_arrived(sid.0, turn_idx, now));
-                self.obs
-                    .on_instance_event(inst, EngineEvent::turn_shed(sid.0, turn_idx, reason, now));
-                self.turns_shed += 1;
+                self.obs.on_instance_event(
+                    inst,
+                    EngineEvent::TurnArrived {
+                        session: sid.0,
+                        turn: turn_idx,
+                        at: now,
+                    },
+                );
+                self.obs.on_instance_event(
+                    inst,
+                    EngineEvent::TurnShed {
+                        session: sid.0,
+                        turn: turn_idx,
+                        reason,
+                        at: now,
+                    },
+                );
+                self.overload.turns_shed += 1;
                 if measured {
                     self.slo_state.note_shed();
-                    self.slo_missed += 1;
+                    self.overload.slo_missed += 1;
                 }
                 // Terminal for the session: no job exists, and in the
                 // closed loop its later turns never arrive.
@@ -740,7 +728,11 @@ impl<O: EngineObserver> ClusterSim<O> {
         }
         self.obs.on_instance_event(
             inst,
-            EngineEvent::turn_arrived(self.sid(session).0, turn_idx, now),
+            EngineEvent::TurnArrived {
+                session: self.sid(session).0,
+                turn: turn_idx,
+                at: now,
+            },
         );
         let hist = self.apply_truncation(now, session, user, measured, inst);
         self.jobs.push(Job::for_turn(
@@ -794,7 +786,12 @@ impl<O: EngineObserver> ClusterSim<O> {
         if hist == 0 && !ca {
             self.obs.on_instance_event(
                 inst,
-                EngineEvent::consulted(sid.0, ConsultClass::NoHistory, 0, now),
+                EngineEvent::Consulted {
+                    session: sid.0,
+                    class: ConsultClass::NoHistory,
+                    reused: 0,
+                    at: now,
+                },
             );
             return (0, now, None);
         }
@@ -807,7 +804,12 @@ impl<O: EngineObserver> ClusterSim<O> {
             self.report.record_consult(ConsultClass::NoStore, measured);
             self.obs.on_instance_event(
                 inst,
-                EngineEvent::consulted(sid.0, ConsultClass::NoStore, 0, now),
+                EngineEvent::Consulted {
+                    session: sid.0,
+                    class: ConsultClass::NoStore,
+                    reused: 0,
+                    at: now,
+                },
             );
             return (0, now, None);
         }
@@ -827,10 +829,14 @@ impl<O: EngineObserver> ClusterSim<O> {
         self.scratch_view = view;
         self.pump_store_events(inst);
         if let Some(reason) = degraded {
-            self.recompute_fallbacks += 1;
+            self.faults.recompute_fallbacks += 1;
             self.obs.on_instance_event(
                 inst,
-                EngineEvent::degraded_recompute(sid.0, reason.label(), now),
+                EngineEvent::DegradedRecompute {
+                    session: sid.0,
+                    reason: reason.label(),
+                    at: now,
+                },
             );
         }
         self.report.record_consult(consult.class, measured);
@@ -845,7 +851,12 @@ impl<O: EngineObserver> ClusterSim<O> {
         }
         self.obs.on_instance_event(
             inst,
-            EngineEvent::consulted(sid.0, consult.class, consult.reused, now),
+            EngineEvent::Consulted {
+                session: sid.0,
+                class: consult.class,
+                reused: consult.reused,
+                at: now,
+            },
         );
         (consult.reused, consult.staged, consult.tier)
     }
@@ -863,15 +874,24 @@ impl<O: EngineObserver> ClusterSim<O> {
             self.report.resumption_turns.incr();
             self.instances[inst as usize].resumption_turns += 1;
         }
-        self.degraded_recomputes += 1;
+        self.overload.degraded_recomputes += 1;
         self.obs.on_instance_event(
             inst,
-            EngineEvent::degraded_recompute(sid.0, "overload", now),
+            EngineEvent::DegradedRecompute {
+                session: sid.0,
+                reason: "overload",
+                at: now,
+            },
         );
         self.report.record_consult(ConsultClass::NoStore, measured);
         self.obs.on_instance_event(
             inst,
-            EngineEvent::consulted(sid.0, ConsultClass::NoStore, 0, now),
+            EngineEvent::Consulted {
+                session: sid.0,
+                class: ConsultClass::NoStore,
+                reused: 0,
+                at: now,
+            },
         );
         (0, now, None)
     }
@@ -949,7 +969,7 @@ impl<O: EngineObserver> ClusterSim<O> {
         // prefix can extend into the new input, so `reused` may exceed
         // the history alone.
         let computed = job.hist_tokens + job.user_tokens - reused;
-        let (total, comp, stall) = exec::prefill_timing(
+        let timing = exec::prefill_timing(
             &self.cfg,
             &mut self.instances[i].plan,
             now,
@@ -957,25 +977,24 @@ impl<O: EngineObserver> ClusterSim<O> {
             computed,
             staged,
         );
-        let wait = staged.saturating_since(now);
-        let total = total.max(wait + comp);
         self.instances[i].hbm.note_reserved(reserved + job_peak);
         let sid = self.sid(self.jobs[job_idx].session);
         let job = &mut self.jobs[job_idx];
         job.reused_tokens = reused;
         job.computed_tokens = computed;
         job.admitted_at = now;
-        job.prefill_secs = comp.as_secs_f64();
+        job.prefill_secs = timing.comp.as_secs_f64();
         self.report.record_admission(
             now.as_secs_f64(),
-            comp.as_secs_f64(),
-            total.as_secs_f64(),
-            (stall.max(wait)).as_secs_f64(),
+            timing.comp.as_secs_f64(),
+            timing.total.as_secs_f64(),
+            timing.stall.as_secs_f64(),
             job.measured,
             job.hist_tokens + job.user_tokens,
             computed,
         );
-        let chunked = match exec::plan_prefill(self.cfg.chunked_prefill_tokens, computed, total) {
+        let issue = exec::plan_prefill(self.cfg.chunked_prefill_tokens, computed, timing.total);
+        let chunked = match issue {
             PrefillIssue::Chunked {
                 n_chunks,
                 chunk_dur,
@@ -985,51 +1004,45 @@ impl<O: EngineObserver> ClusterSim<O> {
             }
             PrefillIssue::Monolithic => {
                 self.instances[i].exec.gpu_action = Some(Action::Prefill { job: job_idx });
-                q.push(now + total, Ev::GpuTick(inst));
+                q.push(now + timing.total, Ev::GpuTick(inst));
                 false
             }
         };
         self.obs.on_instance_event(
             inst,
-            EngineEvent::admitted(sid.0, reused, computed, chunked, now),
+            EngineEvent::Admitted {
+                session: sid.0,
+                reused,
+                computed,
+                chunked,
+                at: now,
+            },
         );
         // Overlap accounting for the span profiler: the KV transfer this
         // reuse requires vs. the share of it left visible as a stall.
-        let load = if reused == 0 {
-            Dur::ZERO
-        } else if self.cfg.medium == Medium::DramDisk {
-            self.instances[i]
-                .plan
-                .h2d_duration_of(self.cfg.stored_kv_bytes(reused))
-        } else {
-            // HBM-backed fast tiers hold reused KV device-resident; the
-            // only transfer on the critical path is the residual staging
-            // wait.
-            wait
-        };
         self.obs.on_instance_event(
             inst,
-            EngineEvent::prefill_timed(
-                sid.0,
-                load.as_secs_f64(),
-                comp.as_secs_f64(),
-                (stall.max(wait)).as_secs_f64(),
-                if reused == 0 {
+            EngineEvent::PrefillTimed {
+                session: sid.0,
+                load_secs: timing.load.as_secs_f64(),
+                comp_secs: timing.comp.as_secs_f64(),
+                stall_secs: timing.stall.as_secs_f64(),
+                tier: if reused == 0 {
                     None
                 } else {
                     hit_tier.map(|t| t.0)
                 },
-                now,
-            ),
+                at: now,
+            },
         );
         self.obs.on_instance_event(
             inst,
-            EngineEvent::hbm_reserved(
-                sid.0,
-                reserved + job_peak,
-                self.instances[i].hbm.budget(),
-                now,
-            ),
+            EngineEvent::HbmReserved {
+                session: sid.0,
+                reserved_bytes: reserved + job_peak,
+                budget_bytes: self.instances[i].hbm.budget(),
+                at: now,
+            },
         );
         // The queue head moved: give the prefetcher a chance to stage the
         // next jobs' KV while this prefill runs.
@@ -1042,8 +1055,14 @@ impl<O: EngineObserver> ClusterSim<O> {
         let job = &self.jobs[job_idx];
         let inst = job.instance;
         let sid = self.sid(job.session);
-        self.obs
-            .on_instance_event(inst, EngineEvent::deferred(sid.0, until, now));
+        self.obs.on_instance_event(
+            inst,
+            EngineEvent::Deferred {
+                session: sid.0,
+                until,
+                at: now,
+            },
+        );
         until
     }
 
@@ -1083,9 +1102,9 @@ impl<O: EngineObserver> ClusterSim<O> {
             // turn's arrival, so queue wait counts against it.
             let met = deadline.is_none_or(|d| now <= d);
             if met {
-                self.slo_attained += 1;
+                self.overload.slo_attained += 1;
             } else {
-                self.slo_missed += 1;
+                self.overload.slo_missed += 1;
             }
             self.slo_state.note_first_token(met);
         }
@@ -1097,7 +1116,11 @@ impl<O: EngineObserver> ClusterSim<O> {
         self.instances[i].exec.batch.push(job_idx);
         self.obs.on_instance_event(
             inst,
-            EngineEvent::prefill_done(self.sid(session).0, ttft, now),
+            EngineEvent::PrefillDone {
+                session: self.sid(session).0,
+                ttft_secs: ttft,
+                at: now,
+            },
         );
     }
 
@@ -1161,7 +1184,11 @@ impl<O: EngineObserver> ClusterSim<O> {
         self.instances[inst as usize].turns_done += 1;
         self.obs.on_instance_event(
             inst,
-            EngineEvent::retired(self.sid(session).0, new_hist, now),
+            EngineEvent::Retired {
+                session: self.sid(session).0,
+                new_hist,
+                at: now,
+            },
         );
         // Space freed by the save/demotions may unblock prefetches.
         self.run_prefetch(now, inst);
@@ -1187,10 +1214,15 @@ impl<O: EngineObserver> ClusterSim<O> {
             return;
         }
         self.instances[i].alive = false;
-        self.instance_crashes += 1;
+        self.faults.instance_crashes += 1;
         self.router.on_instance_down(i);
-        self.obs
-            .on_instance_event(inst, EngineEvent::instance_crashed(inst, now));
+        self.obs.on_instance_event(
+            inst,
+            EngineEvent::InstanceCrashed {
+                instance: inst,
+                at: now,
+            },
+        );
         self.drain_instance(now, inst, q);
     }
 
@@ -1266,9 +1298,16 @@ impl<O: EngineObserver> ClusterSim<O> {
                     .enqueue_with_deadline(j, now, d),
                 None => self.instances[to as usize].sched.enqueue(j),
             }
-            self.turns_rerouted += 1;
-            self.obs
-                .on_instance_event(to, EngineEvent::turn_rerouted(sid.0, inst, to, now));
+            self.faults.turns_rerouted += 1;
+            self.obs.on_instance_event(
+                to,
+                EngineEvent::TurnRerouted {
+                    session: sid.0,
+                    from: inst,
+                    to,
+                    at: now,
+                },
+            );
             if self.instances[to as usize].exec.gpu_action.is_none() {
                 self.instances[to as usize].exec.gpu_action = Some(Action::Sleep);
                 q.push(now, Ev::GpuTick(to));
@@ -1293,10 +1332,14 @@ impl<O: EngineObserver> ClusterSim<O> {
         let depth_per_instance = depth as f64 / n_alive.max(1) as f64;
         let d = self.slo_state.on_tick(&p, now, depth_per_instance, n_alive);
         if let Some((from, to)) = d.transition {
-            self.level_transitions += 1;
+            self.overload.level_transitions += 1;
             self.obs.on_instance_event(
                 0,
-                EngineEvent::overload_level(from.label(), to.label(), now),
+                EngineEvent::OverloadLevelChanged {
+                    from: from.label(),
+                    to: to.label(),
+                    at: now,
+                },
             );
         }
         match d.scale {
@@ -1322,7 +1365,7 @@ impl<O: EngineObserver> ClusterSim<O> {
             None => {
                 let id = self.instances.len() as u32;
                 let mut inst = Self::build_instance(id, &self.cfg, self.slo.as_ref());
-                if let Some(plan) = &self.faults {
+                if let Some(plan) = &self.fault_plan {
                     inst.plan.install_faults(plan, id);
                 }
                 self.instances.push(inst);
@@ -1332,11 +1375,17 @@ impl<O: EngineObserver> ClusterSim<O> {
                 id
             }
         };
-        self.scale_ups += 1;
+        self.overload.scale_ups += 1;
         let n_alive = self.instances.iter().filter(|x| x.alive).count();
-        self.peak_instances = self.peak_instances.max(n_alive);
-        self.obs
-            .on_instance_event(id, EngineEvent::scale_up(id, n_alive as u32, now));
+        self.overload.peak_instances = self.overload.peak_instances.max(n_alive as u64);
+        self.obs.on_instance_event(
+            id,
+            EngineEvent::ScaleUp {
+                instance: id,
+                n_alive: n_alive as u32,
+                at: now,
+            },
+        );
         // No GPU wake needed: the new instance is empty and the router's
         // next dispatch sees it alive.
     }
@@ -1356,11 +1405,15 @@ impl<O: EngineObserver> ClusterSim<O> {
         self.instances[i].alive = false;
         self.instances[i].departed = true;
         self.router.on_instance_down(i);
-        self.scale_downs += 1;
+        self.overload.scale_downs += 1;
         let inst = i as u32;
         self.obs.on_instance_event(
             inst,
-            EngineEvent::scale_down(inst, (n_alive - 1) as u32, now),
+            EngineEvent::ScaleDown {
+                instance: inst,
+                n_alive: (n_alive - 1) as u32,
+                at: now,
+            },
         );
         self.drain_instance(now, inst, q);
     }
@@ -1369,11 +1422,11 @@ impl<O: EngineObserver> ClusterSim<O> {
     /// tier to the plan's fraction, charging the demotions to each
     /// victim's owning instance.
     fn on_pressure(&mut self, now: Time, idx: usize) {
-        let Some(p) = self.faults.as_ref().and_then(|f| f.pressure.get(idx)) else {
+        let Some(p) = self.fault_plan.as_ref().and_then(|f| f.pressure.get(idx)) else {
             return;
         };
         let fraction = p.fraction;
-        self.pressure_events += 1;
+        self.faults.pressure_events += 1;
         let view = self.merged_view();
         let Some(store) = &mut self.store else {
             self.scratch_view = view;

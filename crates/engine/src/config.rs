@@ -1,4 +1,4 @@
-//! Engine configuration: serving modes, cache mediums and knobs.
+//! Engine configuration: serving modes and knobs.
 
 use models::{ClusterSpec, CostModel, ModelSpec, TierStack};
 use store::StoreConfig;
@@ -30,18 +30,6 @@ impl Mode {
     }
 }
 
-/// Which storage hierarchy backs AttentionStore (Fig 24).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Medium {
-    /// Fast tier = host DRAM (PCIe hop), slow tier = SSD. The paper's
-    /// full CachedAttention configuration.
-    DramDisk,
-    /// Fast tier = spare HBM (free to access), slow tier = host DRAM.
-    HbmDram,
-    /// Spare HBM only (the LMDeploy-style baseline); no slow tier.
-    HbmOnly,
-}
-
 /// Complete configuration of one serving run.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -55,9 +43,9 @@ pub struct EngineConfig {
     /// Latency model.
     pub cost: CostModel,
     /// AttentionStore sizing/policy (ignored in [`Mode::Recompute`]).
+    /// Its tier stack also says where reused KV lives: an `hbm` tier 0
+    /// is device memory, any other tier 0 is host memory behind PCIe.
     pub store: StoreConfig,
-    /// Storage hierarchy backing the store.
-    pub medium: Medium,
     /// Continuous-batching slot count (paper: 24).
     pub max_batch: usize,
     /// Layer-wise pre-loading on/off (Fig 19's NO-PL ablation).
@@ -108,7 +96,6 @@ impl EngineConfig {
             cluster: ClusterSpec::paper_testbed().with_gpus(n_gpus),
             cost: CostModel::paper_system(),
             store,
-            medium: Medium::DramDisk,
             max_batch: 24,
             preload: true,
             read_buffer_layers: 15,

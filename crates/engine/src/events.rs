@@ -257,162 +257,6 @@ sim::event_table! {
     }
 }
 
-impl EngineEvent {
-    /// A [`EngineEvent::TurnArrived`] for `session`'s turn `turn`.
-    pub fn turn_arrived(session: u64, turn: usize, at: Time) -> Self {
-        EngineEvent::TurnArrived { session, turn, at }
-    }
-
-    /// A [`EngineEvent::Truncated`] shrinking `session`'s history.
-    pub fn truncated(session: u64, old_hist: u64, new_hist: u64, at: Time) -> Self {
-        EngineEvent::Truncated {
-            session,
-            old_hist,
-            new_hist,
-            at,
-        }
-    }
-
-    /// A [`EngineEvent::Consulted`] classifying a store access.
-    pub fn consulted(session: u64, class: ConsultClass, reused: u64, at: Time) -> Self {
-        EngineEvent::Consulted {
-            session,
-            class,
-            reused,
-            at,
-        }
-    }
-
-    /// A [`EngineEvent::Deferred`] admission retryable at `until`.
-    pub fn deferred(session: u64, until: Time, at: Time) -> Self {
-        EngineEvent::Deferred { session, until, at }
-    }
-
-    /// An [`EngineEvent::Admitted`] job entering the GPU.
-    pub fn admitted(session: u64, reused: u64, computed: u64, chunked: bool, at: Time) -> Self {
-        EngineEvent::Admitted {
-            session,
-            reused,
-            computed,
-            chunked,
-            at,
-        }
-    }
-
-    /// A [`EngineEvent::PrefillTimed`] admission-time breakdown.
-    pub fn prefill_timed(
-        session: u64,
-        load_secs: f64,
-        comp_secs: f64,
-        stall_secs: f64,
-        tier: Option<usize>,
-        at: Time,
-    ) -> Self {
-        EngineEvent::PrefillTimed {
-            session,
-            load_secs,
-            comp_secs,
-            stall_secs,
-            tier,
-            at,
-        }
-    }
-
-    /// A [`EngineEvent::PrefillDone`] first token.
-    pub fn prefill_done(session: u64, ttft_secs: f64, at: Time) -> Self {
-        EngineEvent::PrefillDone {
-            session,
-            ttft_secs,
-            at,
-        }
-    }
-
-    /// An [`EngineEvent::Retired`] finished job.
-    pub fn retired(session: u64, new_hist: u64, at: Time) -> Self {
-        EngineEvent::Retired {
-            session,
-            new_hist,
-            at,
-        }
-    }
-
-    /// An [`EngineEvent::HbmReserved`] admission-time gauge.
-    pub fn hbm_reserved(session: u64, reserved_bytes: u64, budget_bytes: u64, at: Time) -> Self {
-        EngineEvent::HbmReserved {
-            session,
-            reserved_bytes,
-            budget_bytes,
-            at,
-        }
-    }
-
-    /// An [`EngineEvent::InstanceCrashed`] scripted fault.
-    pub fn instance_crashed(instance: u32, at: Time) -> Self {
-        EngineEvent::InstanceCrashed { instance, at }
-    }
-
-    /// An [`EngineEvent::TurnRerouted`] crash-recovery re-queue.
-    pub fn turn_rerouted(session: u64, from: u32, to: u32, at: Time) -> Self {
-        EngineEvent::TurnRerouted {
-            session,
-            from,
-            to,
-            at,
-        }
-    }
-
-    /// An [`EngineEvent::DegradedRecompute`] cache-path failure.
-    pub fn degraded_recompute(session: u64, reason: &'static str, at: Time) -> Self {
-        EngineEvent::DegradedRecompute {
-            session,
-            reason,
-            at,
-        }
-    }
-
-    /// An [`EngineEvent::SloConfig`] policy header.
-    pub fn slo_config(ttft_target_secs: f64, inbox_capacity: u64, at: Time) -> Self {
-        EngineEvent::SloConfig {
-            ttft_target_secs,
-            inbox_capacity,
-            at,
-        }
-    }
-
-    /// An [`EngineEvent::TurnShed`] typed rejection.
-    pub fn turn_shed(session: u64, turn: usize, reason: &'static str, at: Time) -> Self {
-        EngineEvent::TurnShed {
-            session,
-            turn,
-            reason,
-            at,
-        }
-    }
-
-    /// An [`EngineEvent::OverloadLevelChanged`] ladder transition.
-    pub fn overload_level(from: &'static str, to: &'static str, at: Time) -> Self {
-        EngineEvent::OverloadLevelChanged { from, to, at }
-    }
-
-    /// An [`EngineEvent::ScaleUp`] autoscaler action.
-    pub fn scale_up(instance: u32, n_alive: u32, at: Time) -> Self {
-        EngineEvent::ScaleUp {
-            instance,
-            n_alive,
-            at,
-        }
-    }
-
-    /// An [`EngineEvent::ScaleDown`] autoscaler action.
-    pub fn scale_down(instance: u32, n_alive: u32, at: Time) -> Self {
-        EngineEvent::ScaleDown {
-            instance,
-            n_alive,
-            at,
-        }
-    }
-}
-
 /// A sink for [`EngineEvent`]s (and, opted into, [`StoreEvent`]s).
 pub trait EngineObserver {
     /// Called after the simulator commits the observed step.
@@ -520,7 +364,12 @@ mod tests {
 
     #[test]
     fn serializes_as_tagged_objects() {
-        let ev = EngineEvent::consulted(5, ConsultClass::HitSlow, 700, Time::from_secs_f64(2.0));
+        let ev = EngineEvent::Consulted {
+            session: 5,
+            class: ConsultClass::HitSlow,
+            reused: 700,
+            at: Time::from_secs_f64(2.0),
+        };
         assert_eq!(
             json(&ev),
             "{\"kind\":\"consulted\",\"session\":5,\"class\":\"hit_slow\",\
@@ -533,7 +382,14 @@ mod tests {
 
     #[test]
     fn prefill_timed_serializes_and_classifies() {
-        let ev = EngineEvent::prefill_timed(4, 0.5, 0.25, 0.125, Some(1), Time::from_secs_f64(3.0));
+        let ev = EngineEvent::PrefillTimed {
+            session: 4,
+            load_secs: 0.5,
+            comp_secs: 0.25,
+            stall_secs: 0.125,
+            tier: Some(1),
+            at: Time::from_secs_f64(3.0),
+        };
         assert_eq!(ev.kind(), "prefill_timed");
         assert_eq!(ev.category(), "gpu");
         assert_eq!(ev.session(), Some(4));
@@ -544,7 +400,14 @@ mod tests {
              \"comp_secs\":0.25,\"stall_secs\":0.125,\"tier\":1,\"at\":3.0}"
         );
         // No reuse: the tier field is omitted entirely.
-        let miss = EngineEvent::prefill_timed(4, 0.0, 0.25, 0.0, None, Time::from_secs_f64(3.0));
+        let miss = EngineEvent::PrefillTimed {
+            session: 4,
+            load_secs: 0.0,
+            comp_secs: 0.25,
+            stall_secs: 0.0,
+            tier: None,
+            at: Time::from_secs_f64(3.0),
+        };
         assert_eq!(
             json(&miss),
             "{\"kind\":\"prefill_timed\",\"session\":4,\"load_secs\":0.0,\
@@ -554,35 +417,56 @@ mod tests {
 
     #[test]
     fn fault_events_serialize_and_classify() {
-        let crash = EngineEvent::instance_crashed(1, Time::from_secs_f64(3.0));
+        let crash = EngineEvent::InstanceCrashed {
+            instance: 1,
+            at: Time::from_secs_f64(3.0),
+        };
         assert_eq!(crash.session(), None);
         assert_eq!(crash.category(), "fault");
         assert_eq!(
             json(&crash),
             "{\"kind\":\"instance_crashed\",\"instance\":1,\"at\":3.0}"
         );
-        let re = EngineEvent::turn_rerouted(9, 1, 0, Time::from_secs_f64(3.0));
+        let re = EngineEvent::TurnRerouted {
+            session: 9,
+            from: 1,
+            to: 0,
+            at: Time::from_secs_f64(3.0),
+        };
         assert_eq!(re.session(), Some(9));
         assert_eq!(re.kind(), "turn_rerouted");
         assert_eq!(
             json(&re),
             "{\"kind\":\"turn_rerouted\",\"session\":9,\"from\":1,\"to\":0,\"at\":3.0}"
         );
-        let deg = EngineEvent::degraded_recompute(9, "corrupted", Time::from_secs_f64(4.0));
+        let deg = EngineEvent::DegradedRecompute {
+            session: 9,
+            reason: "corrupted",
+            at: Time::from_secs_f64(4.0),
+        };
         assert_eq!(deg.category(), "fault");
         assert_eq!(deg.at(), Time::from_secs_f64(4.0));
     }
 
     #[test]
     fn overload_events_serialize_and_classify() {
-        let hdr = EngineEvent::slo_config(2.0, 32, Time::ZERO);
+        let hdr = EngineEvent::SloConfig {
+            ttft_target_secs: 2.0,
+            inbox_capacity: 32,
+            at: Time::ZERO,
+        };
         assert_eq!(hdr.session(), None);
         assert_eq!(hdr.category(), "overload");
         assert_eq!(
             json(&hdr),
             "{\"kind\":\"slo_config\",\"ttft_target_secs\":2.0,\"inbox_capacity\":32,\"at\":0.0}"
         );
-        let shed = EngineEvent::turn_shed(7, 2, "inbox_full", Time::from_secs_f64(5.0));
+        let shed = EngineEvent::TurnShed {
+            session: 7,
+            turn: 2,
+            reason: "inbox_full",
+            at: Time::from_secs_f64(5.0),
+        };
         assert_eq!(shed.session(), Some(7));
         assert_eq!(shed.kind(), "turn_shed");
         assert_eq!(shed.category(), "overload");
@@ -590,21 +474,33 @@ mod tests {
             json(&shed),
             "{\"kind\":\"turn_shed\",\"session\":7,\"turn\":2,\"reason\":\"inbox_full\",\"at\":5.0}"
         );
-        let lvl = EngineEvent::overload_level("normal", "recompute_only", Time::from_secs_f64(6.0));
+        let lvl = EngineEvent::OverloadLevelChanged {
+            from: "normal",
+            to: "recompute_only",
+            at: Time::from_secs_f64(6.0),
+        };
         assert_eq!(lvl.session(), None);
         assert_eq!(lvl.kind(), "overload_level");
         assert_eq!(
             json(&lvl),
             "{\"kind\":\"overload_level\",\"from\":\"normal\",\"to\":\"recompute_only\",\"at\":6.0}"
         );
-        let up = EngineEvent::scale_up(2, 3, Time::from_secs_f64(7.0));
+        let up = EngineEvent::ScaleUp {
+            instance: 2,
+            n_alive: 3,
+            at: Time::from_secs_f64(7.0),
+        };
         assert_eq!(up.session(), None);
         assert_eq!(up.category(), "overload");
         assert_eq!(
             json(&up),
             "{\"kind\":\"scale_up\",\"instance\":2,\"n_alive\":3,\"at\":7.0}"
         );
-        let down = EngineEvent::scale_down(2, 2, Time::from_secs_f64(9.0));
+        let down = EngineEvent::ScaleDown {
+            instance: 2,
+            n_alive: 2,
+            at: Time::from_secs_f64(9.0),
+        };
         assert_eq!(down.kind(), "scale_down");
         assert_eq!(down.at(), Time::from_secs_f64(9.0));
     }

@@ -14,7 +14,7 @@ use sim::{Dur, Time};
 
 use crate::overlap::{no_preload, with_preload, PreloadParams};
 use crate::transfer::TransferPlan;
-use crate::{EngineConfig, Medium};
+use crate::EngineConfig;
 
 /// What the GPU is doing until the pending tick.
 #[derive(Debug, Clone, Copy)]
@@ -148,15 +148,30 @@ pub fn plan_prefill(chunk_tokens: Option<u64>, computed: u64, total: Dur) -> Pre
     }
 }
 
+/// The timing of one admitted prefill, as issued to the GPU.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IssuedPrefill {
+    /// How long the issued prefill lasts: compute plus visible stall.
+    pub total: Dur,
+    /// Pure prefill compute.
+    pub comp: Dur,
+    /// Transfer or staging time left visible on the critical path.
+    pub stall: Dur,
+    /// KV transfer time the reuse requires (zero when nothing is
+    /// reused): the host→device load of the stored bytes under a host
+    /// tier 0, the staging wait under a device-memory tier 0.
+    pub load: Dur,
+}
+
 /// Computes the prefill timing of a job given its reuse split and the
 /// staging completion of its cached KV.
-/// Returns (total duration, pure compute, stall).
 ///
-/// For DRAM-backed fast tiers the reused KV is pre-loaded layer-wise
+/// Under a host-memory tier 0 the reused KV is pre-loaded layer-wise
 /// over the `h2d` stream, overlapped with the partial prefill (§3.2.1);
-/// the stream is occupied through the end of the load. For HBM-backed
-/// fast tiers the KV is already device-resident and only the staging
-/// wait remains.
+/// the stream is occupied through the end of the load. Under a
+/// device-memory tier 0 ([`TransferPlan::device_resident`]) the KV is
+/// already on the GPU and only the staging wait remains. Either way the
+/// prefill cannot finish before its KV is staged.
 pub fn prefill_timing(
     cfg: &EngineConfig,
     plan: &mut TransferPlan,
@@ -164,18 +179,23 @@ pub fn prefill_timing(
     reused: u64,
     computed: u64,
     staged: Time,
-) -> (Dur, Dur, Dur) {
+) -> IssuedPrefill {
     let m = &cfg.model;
     let comp = cfg.cost.prefill_time(m, &cfg.cluster, computed, reused);
-    let load_bytes = cfg.stored_kv_bytes(reused);
+    let wait = staged.saturating_since(now);
+    let timing = |total: Dur, stall: Dur, load: Dur| IssuedPrefill {
+        total: total.max(wait + comp),
+        comp,
+        stall: stall.max(wait),
+        load,
+    };
     if reused == 0 {
-        return (comp, comp, Dur::ZERO);
+        return timing(comp, Dur::ZERO, Dur::ZERO);
     }
-    // For HBM-backed fast tiers the KV is already device-resident.
-    if matches!(cfg.medium, Medium::HbmDram | Medium::HbmOnly) {
-        let wait = staged.saturating_since(now);
-        return (wait + comp, comp, wait);
+    if plan.device_resident() {
+        return timing(wait + comp, wait, wait);
     }
+    let load_bytes = cfg.stored_kv_bytes(reused);
     let layers = m.n_layers;
     let t_load_layer = plan.h2d_duration_of(load_bytes / layers as u64);
     let t_comp_layer = comp / layers as u64;
@@ -196,14 +216,18 @@ pub fn prefill_timing(
         warm,
         delay,
     };
-    let timing = if cfg.preload {
+    let preload = if cfg.preload {
         with_preload(&params)
     } else {
         no_preload(&params)
     };
     // Occupy the load stream through the end of this job's transfers.
-    plan.h2d_occupy(now + timing.load_done, load_bytes);
-    (timing.done, comp, timing.stall)
+    plan.h2d_occupy(now + preload.load_done, load_bytes);
+    timing(
+        preload.done,
+        preload.stall,
+        plan.h2d_duration_of(load_bytes),
+    )
 }
 
 /// The GPU's mutable execution state: current action, paused chunked

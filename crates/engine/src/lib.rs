@@ -6,10 +6,11 @@
 //! evaluates. The engine is a staged pipeline around a thin
 //! discrete-event orchestrator:
 //!
-//! - [`EngineConfig`] / [`Mode`] / [`Medium`]: a serving setup — which
-//!   model, which hardware, CachedAttention (`CA`) vs recomputation
-//!   (`RE`) vs the coupled-positional-encoding overflow baseline (`OF`),
-//!   and which storage hierarchy backs AttentionStore.
+//! - [`EngineConfig`] / [`Mode`]: a serving setup — which model, which
+//!   hardware, CachedAttention (`CA`) vs recomputation (`RE`) vs the
+//!   coupled-positional-encoding overflow baseline (`OF`), and the tier
+//!   stack backing AttentionStore (an `hbm` tier 0 keeps reused KV on
+//!   the device).
 //! - [`scheduler`]: the job queue ([`scheduler::SchedulerPolicy`], FCFS
 //!   by default) and the pure admission predicates.
 //! - [`transfer`]: the four bandwidth links (h2d/d2h/slow-rd/slow-wr),
@@ -49,7 +50,7 @@ pub mod transfer;
 pub mod truncate;
 
 pub use cluster::{ClusterConfig, ClusterReport, ClusterSim, Ev, FaultReport, OverloadReport};
-pub use config::{EngineConfig, Medium, Mode};
+pub use config::{EngineConfig, Mode};
 pub use events::{ConsultClass, EngineEvent, EngineObserver, EventLog, NullObserver};
 pub use instance::{EngineInstance, InstanceReport};
 pub use report::RunReport;

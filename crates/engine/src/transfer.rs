@@ -8,20 +8,21 @@
 //! - `d2h` — device→host PCIe stream flushing fresh KV through the HBM
 //!   write buffer (§3.2.2);
 //! - one read/write link pair per *boundary* of the store's tier stack:
-//!   boundary `b` sits between tier `b` and tier `b+1`. The paper's
-//!   two-tier stack has a single boundary, whose links keep their
-//!   historical names `slow-rd`/`slow-wr` (SSD for the DRAM+Disk medium;
-//!   a second PCIe hop for the HBM-fronted mediums). Deeper stacks add
-//!   `slow-rd2`/`slow-wr2` and so on.
+//!   boundary `b` sits between tier `b` and tier `b+1` and runs at tier
+//!   `b+1`'s rated bandwidth. The paper's two-tier stack has a single
+//!   boundary, whose links keep their historical names `slow-rd`/`slow-wr`
+//!   (SSD under DRAM; PCIe-rate DRAM under an HBM tier 0). Deeper stacks
+//!   add `slow-rd2`/`slow-wr2` and so on.
 //!
 //! The store plans tier movements as [`Transfer`] values — a promotion
 //! from tier `f` arrives as the hop chain `(f→f-1), …, (1→0)` — and this
 //! stage charges each hop on its boundary's link, serializing the hops of
 //! one session so the shallow hop starts when the deep one delivered
-//! ([`TransferPlan::charge`]). It tracks when each session's KV finishes
-//! staging into the fast tier (`fast_ready_at`), gates admission on
-//! write-buffer drain ([`TransferPlan::write_gate`]), and classifies
-//! store consultations ([`TransferPlan::consult`]).
+//! ([`TransferPlan::charge`]). It records whether tier 0 is device
+//! memory ([`TransferPlan::device_resident`]), tracks when each session's
+//! KV finishes staging into the fast tier (`fast_ready_at`), gates
+//! admission on write-buffer drain ([`TransferPlan::write_gate`]), and
+//! classifies store consultations ([`TransferPlan::consult`]).
 
 use std::collections::HashMap;
 
@@ -29,7 +30,7 @@ use sim::{BandwidthLink, Dur, FaultPlan, Time};
 use store::{AttentionStore, DegradeReason, Lookup, QueueView, SessionId, TierId, Transfer};
 
 use crate::events::ConsultClass;
-use crate::{EngineConfig, Medium};
+use crate::EngineConfig;
 
 /// Link names per boundary, fixed so [`FaultPlan`] link faults can target
 /// them by name. Boundary 0 keeps the historical `slow-rd`/`slow-wr`.
@@ -88,16 +89,17 @@ pub struct TransferPlan {
     slow: Vec<SlowBoundary>,
     /// When each session's KV finishes staging into the fast tier.
     fast_ready_at: HashMap<u64, Time>,
+    /// Whether tier 0 is device memory, so reused KV is already on the
+    /// GPU and the `h2d` stream carries none of it.
+    device_resident: bool,
     async_save: bool,
     write_buffer_bytes: u64,
 }
 
 impl TransferPlan {
     /// Builds the links for `cfg`: PCIe for both device streams, and one
-    /// link pair per boundary of the store's tier stack. Boundary 0's
-    /// bandwidth follows the medium (the configured tier-1 device, or
-    /// PCIe again when DRAM is the slow tier behind an HBM fast tier);
-    /// deeper boundaries always use the deeper tier's rated bandwidth.
+    /// link pair per boundary of the store's tier stack at the deeper
+    /// tier's rated bandwidth.
     pub fn new(cfg: &EngineConfig) -> Self {
         let pcie = cfg.cluster.pcie_bw;
         let tiers = &cfg.store.tiers;
@@ -110,19 +112,9 @@ impl TransferPlan {
         let slow = (0..n_boundaries)
             .map(|b| {
                 let deep = &tiers[b + 1];
-                let (rd_bw, wr_bw) = if b == 0 {
-                    match cfg.medium {
-                        Medium::DramDisk => (deep.read_bw, deep.write_bw),
-                        // Fast tier is HBM; the first slow tier is host
-                        // DRAM behind PCIe.
-                        Medium::HbmDram | Medium::HbmOnly => (pcie, pcie),
-                    }
-                } else {
-                    (deep.read_bw, deep.write_bw)
-                };
                 SlowBoundary {
-                    rd: BandwidthLink::new(SLOW_RD_NAMES[b], rd_bw),
-                    wr: BandwidthLink::new(SLOW_WR_NAMES[b], wr_bw),
+                    rd: BandwidthLink::new(SLOW_RD_NAMES[b], deep.read_bw),
+                    wr: BandwidthLink::new(SLOW_WR_NAMES[b], deep.write_bw),
                     read_latency: Dur::from_secs_f64(deep.latency),
                 }
             })
@@ -132,6 +124,7 @@ impl TransferPlan {
             d2h: BandwidthLink::new("d2h", pcie),
             slow,
             fast_ready_at: HashMap::new(),
+            device_resident: tiers[0].is_device_memory(),
             async_save: cfg.async_save,
             write_buffer_bytes: cfg.write_buffer_bytes,
         }
@@ -142,7 +135,7 @@ impl TransferPlan {
     /// match the stream labels: `"h2d"`, `"d2h"`, `"slow-rd"`/`"slow-wr"`
     /// for boundary 0 and `"slow-rd2"`/`"slow-wr2"` … for deeper
     /// boundaries. Unknown names are ignored so plans can name links a
-    /// medium (or a shallower stack) does not have.
+    /// shallower stack does not have.
     pub fn install_faults(&mut self, plan: &FaultPlan, instance: u32) {
         for f in &plan.link_faults {
             if f.instance.is_some_and(|i| i != instance) {
@@ -292,6 +285,13 @@ impl TransferPlan {
             consult,
             degraded: outcome.degraded,
         }
+    }
+
+    /// Whether tier 0 is device memory: reused KV is already on the GPU,
+    /// so a prefill waits only for its staging, never for a host→device
+    /// load.
+    pub fn device_resident(&self) -> bool {
+        self.device_resident
     }
 
     /// When `session`'s KV finishes staging into the fast tier, if a

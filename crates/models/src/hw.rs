@@ -55,9 +55,23 @@ pub struct TierSpec {
 }
 
 impl TierSpec {
+    /// Spare GPU memory: the A100's ~2 TB/s HBM. Free per GB because its
+    /// GPU is billed as compute. As tier 0 it is device memory, so reused
+    /// KV needs no host→device load.
+    pub fn hbm(capacity: u64) -> Self {
+        TierSpec {
+            name: "hbm",
+            capacity,
+            read_bw: 2.0e12,
+            write_bw: 2.0e12,
+            latency: 0.0,
+            dollars_per_gb: 0.0,
+        }
+    }
+
     /// Host DRAM at the paper's EC2 price ($0.0088/GB·h). Bandwidth is
-    /// the effective host-link rate; tier-0 bandwidths are only consulted
-    /// when a *deeper* tier stages through this one.
+    /// the effective host-link rate (PCIe Gen4 ×16); tier-0 bandwidths
+    /// are only consulted when a *deeper* tier stages through this one.
     pub fn dram(capacity: u64) -> Self {
         TierSpec {
             name: "dram",
@@ -106,6 +120,12 @@ impl TierSpec {
             latency: 0.05,
             dollars_per_gb: 0.000032,
         }
+    }
+
+    /// Whether this is GPU device memory (the `hbm` tier): KV staged
+    /// here needs no host→device load before a prefill reuses it.
+    pub fn is_device_memory(&self) -> bool {
+        self.name == "hbm"
     }
 
     /// Returns a copy with a different capacity.

@@ -327,11 +327,16 @@ impl AttentionStore {
     /// first. Stops — leaving the reserve short — when the victim has an
     /// in-window use: the reserve exists to absorb incoming saves and
     /// fetches, and demoting what a queued session is about to read
-    /// would force the prefetcher to read it right back.
+    /// would force the prefetcher to read it right back. A one-tier
+    /// stack keeps no reserve: there is nowhere to demote to, and a save
+    /// that needs room evicts instead.
     pub fn maintain_reserve(&mut self, now: Time, queue: &QueueView) -> Vec<Transfer> {
         sim::scope!("store.reserve");
-        let reserve = (self.cfg.tiers[0].capacity as f64 * self.cfg.dram_reserve_fraction) as u64;
         let mut transfers = Vec::new();
+        if self.bottom_tier() == TierId(0) {
+            return transfers;
+        }
+        let reserve = (self.cfg.tiers[0].capacity as f64 * self.cfg.dram_reserve_fraction) as u64;
         let mut pass = Pass::new(queue);
         while self.pools[0].free_bytes() < reserve {
             if self.reclaim_dead_in(now, TierId(0)) {

@@ -645,6 +645,49 @@ fn prefetch_reclaims_dead_nodes_before_demoting() {
     s.validate_blocks().expect("ledger sound after prefetch");
 }
 
+/// A one-tier stack has nowhere to demote to: saves under pressure evict
+/// out of tier 0, and the prefetch pass, which restores the tier-0
+/// reserve, leaves a full tier alone.
+#[test]
+fn one_tier_stack_evicts_instead_of_demoting() {
+    for keying in [KeyingMode::PerSession, KeyingMode::ContentAddressed] {
+        let mut s = AttentionStore::new(StoreConfig {
+            tiers: TierStack::new(vec![TierSpec::dram(10 * MB)]),
+            keying,
+            dram_reserve_fraction: 0.2,
+            ..small_store(PolicyKind::SchedulerAware).cfg
+        });
+        let order: Vec<SessionId> = (1..=6).map(sid).collect();
+        let q = QueueView::new(&order);
+        for step in 0..24u64 {
+            let now = Time::from_millis(step);
+            let saved = sid(step % 6 + 1);
+            let read = sid((step + 3) % 6 + 1);
+            let (transfers, _) = s.save(saved, 3 * MB, 300, now, &q);
+            assert!(
+                transfers.is_empty(),
+                "{keying:?} step {step}: {transfers:?}"
+            );
+            s.validate_blocks()
+                .unwrap_or_else(|e| panic!("{keying:?} step {step} save: {e}"));
+            let m = s.load_prefix(read, 300, now, &q);
+            assert!(m.transfers.is_empty(), "{keying:?} step {step}: {m:?}");
+            s.unpin(read);
+            s.validate_blocks()
+                .unwrap_or_else(|e| panic!("{keying:?} step {step} consult: {e}"));
+            let transfers = s.prefetch(now, &q);
+            assert!(
+                transfers.is_empty(),
+                "{keying:?} step {step}: {transfers:?}"
+            );
+            s.validate_blocks()
+                .unwrap_or_else(|e| panic!("{keying:?} step {step} prefetch: {e}"));
+        }
+        assert!(s.stats().drops_capacity > 0, "{keying:?}: {:?}", s.stats());
+        assert_eq!(s.stats().demotions, 0, "{keying:?}");
+    }
+}
+
 /// The running byte totals behind `avg_session_bytes` follow saves,
 /// re-saves, truncation and removal under both keyings.
 #[test]

@@ -13,19 +13,26 @@ use engine::{ConsultClass, EngineEvent, EngineObserver};
 use serde::Serialize;
 use store::{FetchKind, StoreEvent};
 
-/// Declares the counter fields once: the struct and its field-wise sum.
+/// Declares the counter fields once: the struct, its field-wise sum and
+/// its `(name, help, value)` rows, whose help is the field's doc.
 macro_rules! counters {
-    ($($(#[$doc:meta])* $name:ident,)*) => {
+    ($($(#[doc = $doc:literal])* $name:ident,)*) => {
         /// Event tallies of the merged engine and store streams.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
         pub struct Counters {
-            $($(#[$doc])* pub $name: u64,)*
+            $($(#[doc = $doc])* pub $name: u64,)*
         }
 
         impl Counters {
             /// Adds `other` field by field.
             pub(crate) fn merge(&mut self, other: &Counters) {
                 $(self.$name += other.$name;)*
+            }
+
+            /// Every counter as `(field name, doc as one line, value)`,
+            /// in declaration order.
+            pub(crate) fn rows(&self) -> Vec<(&'static str, &'static str, u64)> {
+                vec![$((stringify!($name), concat!($($doc),*).trim(), self.$name),)*]
             }
         }
     };
@@ -36,7 +43,7 @@ counters! {
     turns_arrived,
     /// Jobs admitted (prefill issued).
     admitted,
-    /// Jobs retired.
+    /// Jobs that finished decoding and retired.
     retired,
     /// Context-overflow truncations.
     truncations,
@@ -69,9 +76,9 @@ counters! {
     expirations,
     /// Admissions stalled on the HBM write buffer.
     write_stalls,
+    // The block counters stay zero under per-session keying.
     /// Consults that matched at least one stored block (content-addressed
-    /// keying only; zero under per-session keying, like every block
-    /// counter below).
+    /// keying only).
     block_dedup_hits,
     /// Blocks matched across all consults.
     blocks_matched,
@@ -244,20 +251,30 @@ mod tests {
     #[test]
     fn fold_counts_each_kind_once() {
         let mut c = Counters::default();
-        c.on_event(EngineEvent::turn_arrived(1, 0, Time::ZERO));
-        c.on_event(EngineEvent::consulted(
-            1,
-            ConsultClass::NoHistory,
-            0,
-            Time::ZERO,
-        ));
-        c.on_event(EngineEvent::consulted(
-            1,
-            ConsultClass::HitSlow,
-            9,
-            Time::ZERO,
-        ));
-        c.on_event(EngineEvent::admitted(1, 9, 1, false, Time::ZERO));
+        c.on_event(EngineEvent::TurnArrived {
+            session: 1,
+            turn: 0,
+            at: Time::ZERO,
+        });
+        c.on_event(EngineEvent::Consulted {
+            session: 1,
+            class: ConsultClass::NoHistory,
+            reused: 0,
+            at: Time::ZERO,
+        });
+        c.on_event(EngineEvent::Consulted {
+            session: 1,
+            class: ConsultClass::HitSlow,
+            reused: 9,
+            at: Time::ZERO,
+        });
+        c.on_event(EngineEvent::Admitted {
+            session: 1,
+            reused: 9,
+            computed: 1,
+            chunked: false,
+            at: Time::ZERO,
+        });
         c.on_store_event(StoreEvent::BlockSaved {
             session: 1,
             new_blocks: 2,

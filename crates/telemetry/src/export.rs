@@ -632,103 +632,23 @@ fn prom_summary(
 }
 
 /// Renders a [`MetricsSnapshot`] as a Prometheus text exposition — what
-/// a scrape of the final state would return. Counters get the `_total`
-/// suffix convention, latency summaries render as `{quantile="..."}`
-/// series (empty histograms export no quantile samples, matching the
-/// snapshot's `null` fields), and the per-tier / per-instance slices
-/// become labeled series.
+/// a scrape of the final state would return. Every
+/// [`Counters`](crate::Counters) field exports as
+/// `cachedattention_<field>_total` with its doc as HELP, latency
+/// summaries render as `{quantile="..."}` series (empty histograms
+/// export no quantile samples, matching the snapshot's `null` fields),
+/// and the per-tier / per-instance slices become labeled series.
 pub fn to_prometheus(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     let plain = |v: f64| vec![(String::new(), v)];
 
-    let c = &snap.counters;
-    let counters: [(&str, &str, u64); 18] = [
-        (
-            "turns_arrived",
-            "Turns that arrived and were queued.",
-            c.turns_arrived,
-        ),
-        (
-            "turns_retired",
-            "Jobs that finished decoding and retired.",
-            c.retired,
-        ),
-        (
-            "truncations",
-            "Context-overflow truncations.",
-            c.truncations,
-        ),
-        (
-            "hits_fast",
-            "Consultations classified fast-tier hits.",
-            c.hits_fast,
-        ),
-        (
-            "hits_slow",
-            "Consultations classified slow-tier hits.",
-            c.hits_slow,
-        ),
-        ("misses", "Consultations classified misses.", c.misses),
-        (
-            "store_misses",
-            "Store lookups that found nothing cached.",
-            c.store_misses,
-        ),
-        ("saves", "Sessions saved or updated in the store.", c.saves),
-        (
-            "save_rejections",
-            "Saves rejected for capacity.",
-            c.save_rejections,
-        ),
-        (
-            "prefetch_promotions",
-            "Look-ahead prefetch promotions.",
-            c.prefetch_promotions,
-        ),
-        (
-            "demand_promotions",
-            "Demand-fetch promotions.",
-            c.demand_promotions,
-        ),
-        (
-            "demotions",
-            "One-hop demotions to slower tiers.",
-            c.demotions,
-        ),
-        ("evictions", "Bottom-tier evictions.", c.evictions),
-        (
-            "write_stalls",
-            "Admissions stalled on the HBM write buffer.",
-            c.write_stalls,
-        ),
-        (
-            "read_retries",
-            "Injected read errors that were retried.",
-            c.read_retries,
-        ),
-        (
-            "write_retries",
-            "Injected write errors that were retried.",
-            c.write_retries,
-        ),
-        (
-            "instance_crashes",
-            "Scripted instance crashes.",
-            c.instance_crashes,
-        ),
-        (
-            "turns_rerouted",
-            "Turns re-queued after a crash.",
-            c.turns_rerouted,
-        ),
-    ];
-    for (name, help, v) in counters {
+    for (name, help, value) in snap.counters.rows() {
         prom_metric(
             &mut out,
             &format!("cachedattention_{name}_total"),
             help,
             "counter",
-            plain(v as f64),
+            plain(value as f64),
         );
     }
     prom_metric(
@@ -864,7 +784,11 @@ mod tests {
         vec![
             rec(
                 0,
-                TraceEvent::Engine(EngineEvent::turn_arrived(1, 0, Time::ZERO)),
+                TraceEvent::Engine(EngineEvent::TurnArrived {
+                    session: 1,
+                    turn: 0,
+                    at: Time::ZERO,
+                }),
             ),
             rec(
                 1,
@@ -877,21 +801,29 @@ mod tests {
             ),
             rec(
                 2,
-                TraceEvent::Engine(EngineEvent::admitted(
-                    1,
-                    100,
-                    50,
-                    false,
-                    Time::from_millis(2),
-                )),
+                TraceEvent::Engine(EngineEvent::Admitted {
+                    session: 1,
+                    reused: 100,
+                    computed: 50,
+                    chunked: false,
+                    at: Time::from_millis(2),
+                }),
             ),
             rec(
                 3,
-                TraceEvent::Engine(EngineEvent::prefill_done(1, 0.1, Time::from_millis(102))),
+                TraceEvent::Engine(EngineEvent::PrefillDone {
+                    session: 1,
+                    ttft_secs: 0.1,
+                    at: Time::from_millis(102),
+                }),
             ),
             rec(
                 4,
-                TraceEvent::Engine(EngineEvent::retired(1, 150, Time::from_millis(500))),
+                TraceEvent::Engine(EngineEvent::Retired {
+                    session: 1,
+                    new_hist: 150,
+                    at: Time::from_millis(500),
+                }),
             ),
             rec(
                 5,
@@ -982,7 +914,11 @@ mod tests {
         let records = vec![
             rec(
                 0,
-                TraceEvent::Engine(EngineEvent::turn_arrived(7, 0, Time::ZERO)),
+                TraceEvent::Engine(EngineEvent::TurnArrived {
+                    session: 7,
+                    turn: 0,
+                    at: Time::ZERO,
+                }),
             ),
             rec(
                 1,
@@ -1007,13 +943,13 @@ mod tests {
             ),
             rec(
                 3,
-                TraceEvent::Engine(EngineEvent::admitted(
-                    7,
-                    100,
-                    50,
-                    false,
-                    Time::from_millis(8),
-                )),
+                TraceEvent::Engine(EngineEvent::Admitted {
+                    session: 7,
+                    reused: 100,
+                    computed: 50,
+                    chunked: false,
+                    at: Time::from_millis(8),
+                }),
             ),
         ];
         let json = to_chrome_trace(&records);
@@ -1049,22 +985,42 @@ mod tests {
             rec_on(
                 0,
                 0,
-                TraceEvent::Engine(EngineEvent::turn_arrived(1, 0, Time::ZERO)),
+                TraceEvent::Engine(EngineEvent::TurnArrived {
+                    session: 1,
+                    turn: 0,
+                    at: Time::ZERO,
+                }),
             ),
             rec_on(
                 1,
                 1,
-                TraceEvent::Engine(EngineEvent::turn_arrived(2, 0, Time::ZERO)),
+                TraceEvent::Engine(EngineEvent::TurnArrived {
+                    session: 2,
+                    turn: 0,
+                    at: Time::ZERO,
+                }),
             ),
             rec_on(
                 2,
                 0,
-                TraceEvent::Engine(EngineEvent::admitted(1, 0, 50, false, Time::from_millis(2))),
+                TraceEvent::Engine(EngineEvent::Admitted {
+                    session: 1,
+                    reused: 0,
+                    computed: 50,
+                    chunked: false,
+                    at: Time::from_millis(2),
+                }),
             ),
             rec_on(
                 3,
                 1,
-                TraceEvent::Engine(EngineEvent::admitted(2, 0, 50, false, Time::from_millis(3))),
+                TraceEvent::Engine(EngineEvent::Admitted {
+                    session: 2,
+                    reused: 0,
+                    computed: 50,
+                    chunked: false,
+                    at: Time::from_millis(3),
+                }),
             ),
         ];
         let json = to_chrome_trace(&records);
@@ -1129,16 +1085,28 @@ mod tests {
     /// a queue arrival, sealed and scored against a 1 s SLO.
     fn windowed_fixture() -> (crate::window::WindowSeries, HealthSignals) {
         let mut hub = WindowedHub::new(1.0);
-        hub.on_event(EngineEvent::turn_arrived(1, 0, Time::from_millis(100)));
-        hub.on_event(EngineEvent::admitted(
-            1,
-            0,
-            50,
-            false,
-            Time::from_millis(200),
-        ));
-        hub.on_event(EngineEvent::prefill_done(1, 0.1, Time::from_millis(300)));
-        hub.on_event(EngineEvent::prefill_done(2, 2.5, Time::from_secs_f64(1.5)));
+        hub.on_event(EngineEvent::TurnArrived {
+            session: 1,
+            turn: 0,
+            at: Time::from_millis(100),
+        });
+        hub.on_event(EngineEvent::Admitted {
+            session: 1,
+            reused: 0,
+            computed: 50,
+            chunked: false,
+            at: Time::from_millis(200),
+        });
+        hub.on_event(EngineEvent::PrefillDone {
+            session: 1,
+            ttft_secs: 0.1,
+            at: Time::from_millis(300),
+        });
+        hub.on_event(EngineEvent::PrefillDone {
+            session: 2,
+            ttft_secs: 2.5,
+            at: Time::from_secs_f64(1.5),
+        });
         hub.on_store_event(StoreEvent::Occupancy {
             tier: TierId(0),
             used_bytes: 64,
@@ -1182,9 +1150,23 @@ mod tests {
     #[test]
     fn prometheus_exposition_has_counters_gauges_and_summaries() {
         let mut hub = crate::hub::MetricsHub::new();
-        hub.on_event(EngineEvent::turn_arrived(1, 0, Time::ZERO));
-        hub.on_event(EngineEvent::admitted(1, 0, 50, false, Time::from_millis(4)));
-        hub.on_event(EngineEvent::prefill_done(1, 0.25, Time::from_millis(254)));
+        hub.on_event(EngineEvent::TurnArrived {
+            session: 1,
+            turn: 0,
+            at: Time::ZERO,
+        });
+        hub.on_event(EngineEvent::Admitted {
+            session: 1,
+            reused: 0,
+            computed: 50,
+            chunked: false,
+            at: Time::from_millis(4),
+        });
+        hub.on_event(EngineEvent::PrefillDone {
+            session: 1,
+            ttft_secs: 0.25,
+            at: Time::from_millis(254),
+        });
         hub.on_store_event(StoreEvent::TierConfig {
             tier: TierId(0),
             name: "dram",
@@ -1215,6 +1197,50 @@ mod tests {
                 line.split_whitespace().count() == 2,
                 "malformed sample line: {line}"
             );
+        }
+    }
+
+    /// Every [`Counters`](crate::Counters) field exports exactly once as
+    /// `cachedattention_<field>_total`, with the snapshot's value and its
+    /// doc as a one-line HELP free of doc markup.
+    #[test]
+    fn prometheus_exports_every_counter_under_its_field_name() {
+        let mut cfg = engine::EngineConfig::paper(
+            engine::Mode::CachedAttention,
+            models::ModelSpec::llama2_13b(),
+        );
+        cfg.store.set_dram_bytes(8_000_000_000);
+        cfg.store.set_disk_bytes(40_000_000_000);
+        let trace = workload::Generator::new(workload::ShareGptProfile::default(), 7).trace(20);
+        let (_report, tel) = crate::run_with_telemetry(cfg, trace);
+        let snap = tel.snapshot();
+        let text = to_prometheus(&snap);
+        let lines: Vec<&str> = text.lines().collect();
+        let Value::Object(fields) = snap.counters.to_value() else {
+            panic!("counters serialize as an object");
+        };
+        assert_eq!(fields.len(), 38);
+        for (field, value) in fields {
+            let Value::U64(value) = value else {
+                panic!("counter `{field}` is not an integer");
+            };
+            let name = format!("cachedattention_{field}_total");
+            let help = format!("# HELP {name} ");
+            let at: Vec<usize> = (0..lines.len())
+                .filter(|&i| lines[i].starts_with(&help))
+                .collect();
+            assert_eq!(at.len(), 1, "{name}: one HELP line");
+            let text = &lines[at[0]][help.len()..];
+            assert!(!text.is_empty(), "{name}: empty HELP");
+            assert!(!text.contains(['`', '[']), "{name}: doc markup in HELP");
+            assert_eq!(lines[at[0] + 1], format!("# TYPE {name} counter"));
+            let sample = format!("{name} {value}");
+            assert_eq!(lines[at[0] + 2], sample);
+            let samples = lines
+                .iter()
+                .filter(|l| l.starts_with(&format!("{name} ")))
+                .count();
+            assert_eq!(samples, 1, "{name}: one sample");
         }
     }
 }

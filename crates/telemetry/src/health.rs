@@ -348,11 +348,11 @@ mod tests {
     fn series_with_ttfts(width: f64, ttfts: &[f64]) -> WindowSeries {
         let mut hub = WindowedHub::new(width);
         for (i, &t) in ttfts.iter().enumerate() {
-            hub.on_event(EngineEvent::prefill_done(
-                i as u64,
-                t,
-                Time::from_secs_f64(i as f64 * width + width / 2.0),
-            ));
+            hub.on_event(EngineEvent::PrefillDone {
+                session: i as u64,
+                ttft_secs: t,
+                at: Time::from_secs_f64(i as f64 * width + width / 2.0),
+            });
         }
         hub.series()
     }
@@ -372,7 +372,11 @@ mod tests {
     #[test]
     fn empty_windows_have_no_latency_signal() {
         let mut hub = WindowedHub::new(1.0);
-        hub.on_event(EngineEvent::turn_arrived(1, 0, Time::from_secs_f64(2.5)));
+        hub.on_event(EngineEvent::TurnArrived {
+            session: 1,
+            turn: 0,
+            at: Time::from_secs_f64(2.5),
+        });
         let signals = HealthSignals::from_series(&hub.series(), &SloConfig::default());
         assert_eq!(signals.points[0].ttft_p99_secs, None);
         assert_eq!(signals.points[0].slo_burn_rate, None);

@@ -421,37 +421,45 @@ mod tests {
     fn hub_aggregates_both_streams() {
         let mut hub = MetricsHub::new();
         assert!(hub.wants_store_events());
-        hub.on_event(EngineEvent::turn_arrived(1, 0, Time::ZERO));
-        hub.on_event(EngineEvent::consulted(
-            1,
-            ConsultClass::HitFast,
-            100,
-            Time::from_millis(1),
-        ));
-        hub.on_event(EngineEvent::deferred(
-            1,
-            Time::from_millis(3),
-            Time::from_millis(2),
-        ));
-        hub.on_event(EngineEvent::deferred(
-            1,
-            Time::from_millis(4),
-            Time::from_millis(3),
-        ));
-        hub.on_event(EngineEvent::admitted(
-            1,
-            100,
-            50,
-            false,
-            Time::from_millis(4),
-        ));
-        hub.on_event(EngineEvent::prefill_done(1, 0.25, Time::from_millis(254)));
-        hub.on_event(EngineEvent::hbm_reserved(
-            1,
-            1_000,
-            10_000,
-            Time::from_millis(4),
-        ));
+        hub.on_event(EngineEvent::TurnArrived {
+            session: 1,
+            turn: 0,
+            at: Time::ZERO,
+        });
+        hub.on_event(EngineEvent::Consulted {
+            session: 1,
+            class: ConsultClass::HitFast,
+            reused: 100,
+            at: Time::from_millis(1),
+        });
+        hub.on_event(EngineEvent::Deferred {
+            session: 1,
+            until: Time::from_millis(3),
+            at: Time::from_millis(2),
+        });
+        hub.on_event(EngineEvent::Deferred {
+            session: 1,
+            until: Time::from_millis(4),
+            at: Time::from_millis(3),
+        });
+        hub.on_event(EngineEvent::Admitted {
+            session: 1,
+            reused: 100,
+            computed: 50,
+            chunked: false,
+            at: Time::from_millis(4),
+        });
+        hub.on_event(EngineEvent::PrefillDone {
+            session: 1,
+            ttft_secs: 0.25,
+            at: Time::from_millis(254),
+        });
+        hub.on_event(EngineEvent::HbmReserved {
+            session: 1,
+            reserved_bytes: 1_000,
+            budget_bytes: 10_000,
+            at: Time::from_millis(4),
+        });
         hub.on_store_event(StoreEvent::TierConfig {
             tier: TierId(0),
             name: "dram",
@@ -500,14 +508,24 @@ mod tests {
     #[test]
     fn deferral_runs_count_session_changes() {
         let mut hub = MetricsHub::new();
-        let defer = |s: u64, ms: u64| {
-            EngineEvent::deferred(s, Time::from_millis(ms + 1), Time::from_millis(ms))
+        let defer = |s: u64, ms: u64| EngineEvent::Deferred {
+            session: s,
+            until: Time::from_millis(ms + 1),
+            at: Time::from_millis(ms),
         };
-        hub.on_event(EngineEvent::turn_arrived(1, 0, Time::ZERO));
+        hub.on_event(EngineEvent::TurnArrived {
+            session: 1,
+            turn: 0,
+            at: Time::ZERO,
+        });
         for ms in [10, 20, 30] {
             hub.on_event(defer(1, ms));
         }
-        hub.on_event(EngineEvent::turn_arrived(2, 0, Time::from_millis(35)));
+        hub.on_event(EngineEvent::TurnArrived {
+            session: 2,
+            turn: 0,
+            at: Time::from_millis(35),
+        });
         hub.on_event(defer(1, 40));
         hub.on_event(defer(2, 50));
         hub.on_event(defer(1, 60));

@@ -741,7 +741,11 @@ mod tests {
     /// admission-time breakdown of load 2.0 / comp 2.0 / stall 1.0.
     fn one_turn() -> Vec<TraceRecord> {
         let evs: Vec<TraceEvent> = vec![
-            TraceEvent::Engine(EngineEvent::turn_arrived(7, 0, t(0.0))),
+            TraceEvent::Engine(EngineEvent::TurnArrived {
+                session: 7,
+                turn: 0,
+                at: t(0.0),
+            }),
             TraceEvent::Store(StoreEvent::WriteBufferStall {
                 session: 7,
                 until: t(0.25),
@@ -762,18 +766,37 @@ mod tests {
                 instance: Some(0),
                 at: t(1.5),
             }),
-            TraceEvent::Engine(EngineEvent::consulted(7, ConsultClass::HitFast, 80, t(2.0))),
-            TraceEvent::Engine(EngineEvent::admitted(7, 80, 40, false, t(2.0))),
-            TraceEvent::Engine(EngineEvent::prefill_timed(
-                7,
-                2.0,
-                2.0,
-                1.0,
-                Some(0),
-                t(2.0),
-            )),
-            TraceEvent::Engine(EngineEvent::prefill_done(7, 3.0, t(5.0))),
-            TraceEvent::Engine(EngineEvent::retired(7, 120, t(9.0))),
+            TraceEvent::Engine(EngineEvent::Consulted {
+                session: 7,
+                class: ConsultClass::HitFast,
+                reused: 80,
+                at: t(2.0),
+            }),
+            TraceEvent::Engine(EngineEvent::Admitted {
+                session: 7,
+                reused: 80,
+                computed: 40,
+                chunked: false,
+                at: t(2.0),
+            }),
+            TraceEvent::Engine(EngineEvent::PrefillTimed {
+                session: 7,
+                load_secs: 2.0,
+                comp_secs: 2.0,
+                stall_secs: 1.0,
+                tier: Some(0),
+                at: t(2.0),
+            }),
+            TraceEvent::Engine(EngineEvent::PrefillDone {
+                session: 7,
+                ttft_secs: 3.0,
+                at: t(5.0),
+            }),
+            TraceEvent::Engine(EngineEvent::Retired {
+                session: 7,
+                new_hist: 120,
+                at: t(9.0),
+            }),
         ];
         evs.into_iter()
             .enumerate()
@@ -849,7 +872,11 @@ mod tests {
         // Retirement without any pipeline behind it.
         let recs = vec![rec(
             0,
-            TraceEvent::Engine(EngineEvent::retired(3, 10, t(1.0))),
+            TraceEvent::Engine(EngineEvent::Retired {
+                session: 3,
+                new_hist: 10,
+                at: t(1.0),
+            }),
         )];
         let forest = SpanForest::from_records(&recs);
         assert_eq!(forest.turns.len(), 0);
@@ -857,7 +884,11 @@ mod tests {
         // A turn left open at the end of the trace.
         let recs = vec![rec(
             0,
-            TraceEvent::Engine(EngineEvent::turn_arrived(4, 0, t(0.0))),
+            TraceEvent::Engine(EngineEvent::TurnArrived {
+                session: 4,
+                turn: 0,
+                at: t(0.0),
+            }),
         )];
         let forest = SpanForest::from_records(&recs);
         assert!(forest.violations[0].contains("still open"));
@@ -866,23 +897,69 @@ mod tests {
     #[test]
     fn reroute_restarts_the_pipeline_under_one_root() {
         let evs: Vec<TraceEvent> = vec![
-            TraceEvent::Engine(EngineEvent::turn_arrived(9, 2, t(0.0))),
-            TraceEvent::Engine(EngineEvent::consulted(9, ConsultClass::HitSlow, 50, t(1.0))),
-            TraceEvent::Engine(EngineEvent::admitted(9, 50, 10, false, t(1.0))),
-            TraceEvent::Engine(EngineEvent::prefill_timed(
-                9,
-                1.0,
-                0.5,
-                1.0,
-                Some(1),
-                t(1.0),
-            )),
-            TraceEvent::Engine(EngineEvent::turn_rerouted(9, 0, 1, t(2.0))),
-            TraceEvent::Engine(EngineEvent::consulted(9, ConsultClass::Miss, 0, t(3.0))),
-            TraceEvent::Engine(EngineEvent::admitted(9, 0, 60, false, t(3.0))),
-            TraceEvent::Engine(EngineEvent::prefill_timed(9, 0.0, 2.0, 0.0, None, t(3.0))),
-            TraceEvent::Engine(EngineEvent::prefill_done(9, 2.0, t(5.0))),
-            TraceEvent::Engine(EngineEvent::retired(9, 60, t(6.0))),
+            TraceEvent::Engine(EngineEvent::TurnArrived {
+                session: 9,
+                turn: 2,
+                at: t(0.0),
+            }),
+            TraceEvent::Engine(EngineEvent::Consulted {
+                session: 9,
+                class: ConsultClass::HitSlow,
+                reused: 50,
+                at: t(1.0),
+            }),
+            TraceEvent::Engine(EngineEvent::Admitted {
+                session: 9,
+                reused: 50,
+                computed: 10,
+                chunked: false,
+                at: t(1.0),
+            }),
+            TraceEvent::Engine(EngineEvent::PrefillTimed {
+                session: 9,
+                load_secs: 1.0,
+                comp_secs: 0.5,
+                stall_secs: 1.0,
+                tier: Some(1),
+                at: t(1.0),
+            }),
+            TraceEvent::Engine(EngineEvent::TurnRerouted {
+                session: 9,
+                from: 0,
+                to: 1,
+                at: t(2.0),
+            }),
+            TraceEvent::Engine(EngineEvent::Consulted {
+                session: 9,
+                class: ConsultClass::Miss,
+                reused: 0,
+                at: t(3.0),
+            }),
+            TraceEvent::Engine(EngineEvent::Admitted {
+                session: 9,
+                reused: 0,
+                computed: 60,
+                chunked: false,
+                at: t(3.0),
+            }),
+            TraceEvent::Engine(EngineEvent::PrefillTimed {
+                session: 9,
+                load_secs: 0.0,
+                comp_secs: 2.0,
+                stall_secs: 0.0,
+                tier: None,
+                at: t(3.0),
+            }),
+            TraceEvent::Engine(EngineEvent::PrefillDone {
+                session: 9,
+                ttft_secs: 2.0,
+                at: t(5.0),
+            }),
+            TraceEvent::Engine(EngineEvent::Retired {
+                session: 9,
+                new_hist: 60,
+                at: t(6.0),
+            }),
         ];
         let recs: Vec<TraceRecord> = evs
             .into_iter()

@@ -192,12 +192,12 @@ mod tests {
         let rec = TraceRecord {
             seq: 3,
             instance: None,
-            ev: TraceEvent::Engine(EngineEvent::consulted(
-                7,
-                ConsultClass::HitFast,
-                500,
-                Time::from_secs_f64(1.0),
-            )),
+            ev: TraceEvent::Engine(EngineEvent::Consulted {
+                session: 7,
+                class: ConsultClass::HitFast,
+                reused: 500,
+                at: Time::from_secs_f64(1.0),
+            }),
         };
         assert_eq!(
             json(&rec),
@@ -212,12 +212,12 @@ mod tests {
         let rec = TraceRecord {
             seq: 4,
             instance: Some(2),
-            ev: TraceEvent::Engine(EngineEvent::consulted(
-                7,
-                ConsultClass::HitFast,
-                500,
-                Time::from_secs_f64(1.0),
-            )),
+            ev: TraceEvent::Engine(EngineEvent::Consulted {
+                session: 7,
+                class: ConsultClass::HitFast,
+                reused: 500,
+                at: Time::from_secs_f64(1.0),
+            }),
         };
         assert_eq!(
             json(&rec),
@@ -248,7 +248,10 @@ mod tests {
         let crash = TraceRecord {
             seq: 6,
             instance: Some(1),
-            ev: TraceEvent::Engine(EngineEvent::instance_crashed(1, Time::from_secs_f64(3.0))),
+            ev: TraceEvent::Engine(EngineEvent::InstanceCrashed {
+                instance: 1,
+                at: Time::from_secs_f64(3.0),
+            }),
         };
         assert_eq!(
             json(&crash),
@@ -283,12 +286,12 @@ mod tests {
         let rec = TraceRecord {
             seq: 4,
             instance: Some(2),
-            ev: TraceEvent::Engine(EngineEvent::consulted(
-                7,
-                ConsultClass::HitFast,
-                500,
-                Time::from_secs_f64(1.0),
-            )),
+            ev: TraceEvent::Engine(EngineEvent::Consulted {
+                session: 7,
+                class: ConsultClass::HitFast,
+                reused: 500,
+                at: Time::from_secs_f64(1.0),
+            }),
         };
         let schema = check_record(&line(&json(&rec))).unwrap();
         assert_eq!((schema.kind, schema.category), ("consulted", "sched"));

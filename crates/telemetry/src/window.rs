@@ -418,11 +418,21 @@ mod tests {
     use store::TierId;
 
     fn arrival(session: u64, at: f64) -> EngineEvent {
-        EngineEvent::turn_arrived(session, 0, Time::from_secs_f64(at))
+        EngineEvent::TurnArrived {
+            session,
+            turn: 0,
+            at: Time::from_secs_f64(at),
+        }
     }
 
     fn admitted(session: u64, at: f64) -> EngineEvent {
-        EngineEvent::admitted(session, 0, 10, false, Time::from_secs_f64(at))
+        EngineEvent::Admitted {
+            session,
+            reused: 0,
+            computed: 10,
+            chunked: false,
+            at: Time::from_secs_f64(at),
+        }
     }
 
     #[test]
@@ -430,7 +440,11 @@ mod tests {
         let mut hub = WindowedHub::new(5.0);
         hub.on_event(arrival(1, 1.0));
         hub.on_event(arrival(2, 6.0));
-        hub.on_event(EngineEvent::prefill_done(1, 0.3, Time::from_secs_f64(12.0)));
+        hub.on_event(EngineEvent::PrefillDone {
+            session: 1,
+            ttft_secs: 0.3,
+            at: Time::from_secs_f64(12.0),
+        });
         let series = hub.series();
         assert_eq!(series.windows.len(), 3);
         assert_eq!(series.windows[0].counters.turns_arrived, 1);
@@ -508,11 +522,11 @@ mod tests {
         let mut hub = WindowedHub::new(2.0);
         for (s, at) in [(1u64, 0.5), (2, 2.5), (3, 4.5)] {
             hub.on_event(arrival(s, at));
-            hub.on_event(EngineEvent::prefill_done(
-                s,
-                0.1 * s as f64,
-                Time::from_secs_f64(at + 0.4),
-            ));
+            hub.on_event(EngineEvent::PrefillDone {
+                session: s,
+                ttft_secs: 0.1 * s as f64,
+                at: Time::from_secs_f64(at + 0.4),
+            });
         }
         let totals = hub.series().totals();
         assert_eq!(totals.counters.turns_arrived, 3);

@@ -17,7 +17,7 @@
 
 use cachedattention::engine::{
     run_cluster, run_cluster_with_observer, ClusterConfig, EngineConfig, EngineEvent,
-    EngineObserver, Medium, Mode, RouterKind,
+    EngineObserver, Mode, RouterKind,
 };
 use cachedattention::models::ModelSpec;
 use cachedattention::sim::{Dur, FaultPlan, RetryPolicy, Time};
@@ -29,7 +29,6 @@ use std::collections::HashMap;
 /// to exercise eviction and the slow tier.
 fn pressured() -> EngineConfig {
     let mut cfg = EngineConfig::paper(Mode::CachedAttention, ModelSpec::llama2_13b());
-    cfg.medium = Medium::DramDisk;
     cfg.store.set_dram_bytes(8_000_000_000);
     cfg.store.set_disk_bytes(40_000_000_000);
     cfg

@@ -13,7 +13,7 @@
 use bench_suite::profile::golden_scenarios;
 use cachedattention::engine::{
     run_cluster, run_cluster_with_observer, ClusterConfig, EngineConfig, EngineEvent,
-    EngineObserver, Medium, Mode, RouterKind,
+    EngineObserver, Mode, RouterKind,
 };
 use cachedattention::models::ModelSpec;
 use cachedattention::sim::Time;
@@ -118,7 +118,6 @@ proptest! {
     ) {
         let trace = Generator::new(ShareGptProfile::default(), seed).trace(n_sessions);
         let mut cfg = EngineConfig::paper(Mode::CachedAttention, ModelSpec::llama2_13b());
-        cfg.medium = Medium::DramDisk;
         cfg.store.set_dram_bytes(dram_gb * 1_000_000_000);
         cfg.store.set_disk_bytes(40_000_000_000);
         let (report, log) = run_cluster_with_observer(

@@ -1,9 +1,10 @@
 //! Property-based tests of the serving engine: arbitrary configurations
-//! (mode, buffers, chunking, compression, storage sizes) over arbitrary
-//! small workloads must preserve the engine's accounting invariants.
+//! (mode, buffers, chunking, compression, tier 0 and storage sizes) over
+//! arbitrary small workloads must preserve the engine's accounting
+//! invariants.
 
-use cachedattention::engine::{run_trace, EngineConfig, Medium, Mode};
-use cachedattention::models::ModelSpec;
+use cachedattention::engine::{run_trace, EngineConfig, Mode};
+use cachedattention::models::{ModelSpec, TierSpec};
 use cachedattention::workload::{Generator, ShareGptProfile};
 use proptest::prelude::*;
 
@@ -15,12 +16,9 @@ fn modes() -> impl Strategy<Value = Mode> {
     ]
 }
 
-fn mediums() -> impl Strategy<Value = Medium> {
-    prop_oneof![
-        Just(Medium::DramDisk),
-        Just(Medium::HbmDram),
-        Just(Medium::HbmOnly),
-    ]
+/// Tier 0 of the store: host DRAM or device HBM (sized by the test).
+fn tier0s() -> impl Strategy<Value = TierSpec> {
+    prop_oneof![Just(TierSpec::dram(0)), Just(TierSpec::hbm(0))]
 }
 
 fn model_specs() -> impl Strategy<Value = ModelSpec> {
@@ -42,7 +40,7 @@ proptest! {
         seed in 0u64..10_000,
         n_sessions in 5usize..40,
         mode in modes(),
-        medium in mediums(),
+        tier0 in tier0s(),
         model in model_specs(),
         max_batch in 1usize..32,
         preload in proptest::bool::ANY,
@@ -56,14 +54,13 @@ proptest! {
         let trace = Generator::new(ShareGptProfile::default(), seed).trace(n_sessions);
         let total_turns = trace.total_turns() as u64;
         let mut cfg = EngineConfig::paper(mode, model);
-        cfg.medium = medium;
+        cfg.store.tiers[0] = tier0.with_capacity(dram_gb * 1_000_000_000);
         cfg.max_batch = max_batch;
         cfg.preload = preload;
         cfg.async_save = async_save;
         cfg.read_buffer_layers = read_buffer;
         cfg.chunked_prefill_tokens = chunk;
         cfg.kv_compression = compression_pct as f64 / 100.0;
-        cfg.store.set_dram_bytes(dram_gb * 1_000_000_000);
         cfg.store.set_disk_bytes(disk_gb * 1_000_000_000);
         let r = run_trace(cfg, trace);
         // Everything completes exactly once.

@@ -6,7 +6,7 @@
 //! ShareGPT workload in any serving mode. This pins the contract the
 //! telemetry exporters rely on when they pair events into spans.
 
-use cachedattention::engine::{run_traced, EngineConfig, EngineEvent, Medium, Mode};
+use cachedattention::engine::{run_traced, EngineConfig, EngineEvent, Mode};
 use cachedattention::models::ModelSpec;
 use cachedattention::sim::Time;
 use cachedattention::workload::{Generator, ShareGptProfile};
@@ -44,7 +44,6 @@ proptest! {
     ) {
         let trace = Generator::new(ShareGptProfile::default(), seed).trace(n_sessions);
         let mut cfg = EngineConfig::paper(mode, ModelSpec::llama2_13b());
-        cfg.medium = Medium::DramDisk;
         cfg.store.set_dram_bytes(dram_gb * 1_000_000_000);
         cfg.store.set_disk_bytes(disk_gb * 1_000_000_000);
         let (report, events) = run_traced(cfg, trace);

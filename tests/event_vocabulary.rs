@@ -201,24 +201,108 @@ fn every_kind() -> Vec<TraceEvent> {
         },
     ];
     let engine = [
-        EngineEvent::turn_arrived(1, 0, t(0.125)),
-        EngineEvent::truncated(1, 4_096, 2_048, t(0.125)),
-        EngineEvent::consulted(1, ConsultClass::HitSlow, 2_048, t(0.25)),
-        EngineEvent::deferred(1, t(0.5), t(0.375)),
-        EngineEvent::admitted(1, 2_048, 300, true, t(0.5)),
-        EngineEvent::prefill_timed(1, 0.0625, 0.125, 0.03125, Some(1), t(0.5)),
-        EngineEvent::prefill_timed(2, 0.0, 0.25, 0.0, None, t(0.625)),
-        EngineEvent::prefill_done(1, 0.15625, t(0.65625)),
-        EngineEvent::retired(1, 2_500, t(1.0)),
-        EngineEvent::hbm_reserved(1, 1_000_000, 8_000_000, t(0.5)),
-        EngineEvent::instance_crashed(1, t(8.0)),
-        EngineEvent::turn_rerouted(20, 1, 0, t(8.0)),
-        EngineEvent::degraded_recompute(21, "read_failed", t(8.5)),
-        EngineEvent::slo_config(2.0, 32, t(0.0)),
-        EngineEvent::turn_shed(22, 1, "inbox_full", t(9.0)),
-        EngineEvent::overload_level("normal", "recompute_only", t(9.5)),
-        EngineEvent::scale_up(2, 3, t(10.0)),
-        EngineEvent::scale_down(2, 2, t(12.0)),
+        EngineEvent::TurnArrived {
+            session: 1,
+            turn: 0,
+            at: t(0.125),
+        },
+        EngineEvent::Truncated {
+            session: 1,
+            old_hist: 4_096,
+            new_hist: 2_048,
+            at: t(0.125),
+        },
+        EngineEvent::Consulted {
+            session: 1,
+            class: ConsultClass::HitSlow,
+            reused: 2_048,
+            at: t(0.25),
+        },
+        EngineEvent::Deferred {
+            session: 1,
+            until: t(0.5),
+            at: t(0.375),
+        },
+        EngineEvent::Admitted {
+            session: 1,
+            reused: 2_048,
+            computed: 300,
+            chunked: true,
+            at: t(0.5),
+        },
+        EngineEvent::PrefillTimed {
+            session: 1,
+            load_secs: 0.0625,
+            comp_secs: 0.125,
+            stall_secs: 0.03125,
+            tier: Some(1),
+            at: t(0.5),
+        },
+        EngineEvent::PrefillTimed {
+            session: 2,
+            load_secs: 0.0,
+            comp_secs: 0.25,
+            stall_secs: 0.0,
+            tier: None,
+            at: t(0.625),
+        },
+        EngineEvent::PrefillDone {
+            session: 1,
+            ttft_secs: 0.15625,
+            at: t(0.65625),
+        },
+        EngineEvent::Retired {
+            session: 1,
+            new_hist: 2_500,
+            at: t(1.0),
+        },
+        EngineEvent::HbmReserved {
+            session: 1,
+            reserved_bytes: 1_000_000,
+            budget_bytes: 8_000_000,
+            at: t(0.5),
+        },
+        EngineEvent::InstanceCrashed {
+            instance: 1,
+            at: t(8.0),
+        },
+        EngineEvent::TurnRerouted {
+            session: 20,
+            from: 1,
+            to: 0,
+            at: t(8.0),
+        },
+        EngineEvent::DegradedRecompute {
+            session: 21,
+            reason: "read_failed",
+            at: t(8.5),
+        },
+        EngineEvent::SloConfig {
+            ttft_target_secs: 2.0,
+            inbox_capacity: 32,
+            at: t(0.0),
+        },
+        EngineEvent::TurnShed {
+            session: 22,
+            turn: 1,
+            reason: "inbox_full",
+            at: t(9.0),
+        },
+        EngineEvent::OverloadLevelChanged {
+            from: "normal",
+            to: "recompute_only",
+            at: t(9.5),
+        },
+        EngineEvent::ScaleUp {
+            instance: 2,
+            n_alive: 3,
+            at: t(10.0),
+        },
+        EngineEvent::ScaleDown {
+            instance: 2,
+            n_alive: 2,
+            at: t(12.0),
+        },
     ];
     store
         .into_iter()

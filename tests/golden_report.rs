@@ -18,9 +18,10 @@
 //! and commit the diff together with an explanation of why the numbers
 //! moved.
 
-use bench_suite::profile::{golden_scenarios, pressured, MEDIUMS, MODES};
-use cachedattention::engine::{run_trace, EngineConfig};
+use bench_suite::profile::{golden_scenarios, mediums, pressured, MODES};
+use cachedattention::engine::{run_trace, EngineConfig, Mode, RunReport};
 use cachedattention::workload::{Generator, ShareGptProfile};
+use std::collections::HashMap;
 use std::path::PathBuf;
 
 fn golden_dir() -> PathBuf {
@@ -29,9 +30,9 @@ fn golden_dir() -> PathBuf {
         .join("golden")
 }
 
-/// Runs one scenario over the goldens' 20-session, seed-7 trace and
-/// checks (or regenerates) its fixture.
-fn check(name: &str, cfg: EngineConfig) {
+/// Runs one scenario over the goldens' 20-session, seed-7 trace,
+/// checks (or regenerates) its fixture and returns the report.
+fn check(name: &str, cfg: EngineConfig) -> RunReport {
     let trace = Generator::new(ShareGptProfile::default(), 7).trace(20);
     let report = run_trace(cfg, trace);
     let mut json = serde_json::to_string_pretty(&report).expect("report serializes");
@@ -41,7 +42,7 @@ fn check(name: &str, cfg: EngineConfig) {
     if std::env::var_os("REGEN_GOLDEN").is_some() {
         std::fs::create_dir_all(golden_dir()).expect("create tests/golden");
         std::fs::write(&path, &json).expect("write fixture");
-        return;
+        return report;
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
@@ -55,6 +56,7 @@ fn check(name: &str, cfg: EngineConfig) {
          if the change is intentional, regenerate with REGEN_GOLDEN=1 and \
          commit the diff"
     );
+    report
 }
 
 /// Checks the canonical matrix's scenario named `name`.
@@ -66,17 +68,42 @@ fn check_named(name: &str) {
     check(name, cfg);
 }
 
-/// Every mode on every medium under the [`pressured`] store, which
-/// overflows DRAM and spills to the slow tier, exercising eviction,
-/// prefetch and both transfer links.
+/// Every mode on every tier stack of [`mediums`] under the
+/// [`pressured`] engine, whose 8 GB tier 0 overflows into the tier
+/// below, exercising eviction, prefetch and both transfer links.
 #[test]
 fn golden_modes_by_mediums() {
+    let mut reports = HashMap::new();
     for mode in MODES {
-        for (medium, label) in MEDIUMS {
+        for (tiers, label) in mediums() {
             let name = format!("{}_{label}", mode.label().to_lowercase());
-            check(&name, pressured(mode, medium));
+            let device_tier0 = tiers[0].is_device_memory();
+            let mut cfg = pressured(mode);
+            cfg.store.tiers = tiers;
+            let report = check(&name, cfg);
+            // Reused KV crosses the host→device link only from a host
+            // tier 0, and RE reuses nothing.
+            assert_eq!(
+                report.h2d_bytes == 0,
+                device_tier0 || mode == Mode::Recompute,
+                "{name}: h2d_bytes {}",
+                report.h2d_bytes
+            );
+            let json = serde_json::to_string(&report).expect("report serializes");
+            reports.insert(name, json);
         }
     }
+    // HBM-only keeps nothing below tier 0, so the modes with a store
+    // lose KV the HBM+DRAM stack keeps; RE has no store at all.
+    for mode in ["ca", "of"] {
+        assert_ne!(
+            reports[&format!("{mode}_hbmonly")],
+            reports[&format!("{mode}_hbmdram")],
+            "{mode}: HBM-only must differ from HBM+DRAM"
+        );
+    }
+    assert_eq!(reports["re_dramdisk"], reports["re_hbmdram"]);
+    assert_eq!(reports["re_hbmdram"], reports["re_hbmonly"]);
 }
 
 /// Chunked prefill exercises the chunk issue/complete path in the

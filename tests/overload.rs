@@ -20,7 +20,7 @@
 use bench_suite::profile::{golden_scenarios, pressured};
 use cachedattention::engine::{
     run_cluster, run_cluster_with_observer, AutoscalePolicy, ClusterConfig, EngineEvent,
-    EngineObserver, Medium, Mode, RouterKind, SloPolicy,
+    EngineObserver, Mode, RouterKind, SloPolicy,
 };
 use cachedattention::sim::{Dur, FaultPlan, RetryPolicy, Time};
 use cachedattention::workload::{Generator, ShareGptProfile, Surge};
@@ -198,7 +198,7 @@ proptest! {
     ) {
         let trace = surge_trace(seed, n_sessions, surge);
         let cfg = ClusterConfig::new(
-            pressured(Mode::CachedAttention, Medium::DramDisk),
+            pressured(Mode::CachedAttention),
             n_instances,
             router,
         )
@@ -417,7 +417,7 @@ proptest! {
         n_instances in 1usize..4,
         router in routers(),
     ) {
-        let cfg = || pressured(Mode::CachedAttention, Medium::DramDisk);
+        let cfg = || pressured(Mode::CachedAttention);
         let gen = || Generator::new(ShareGptProfile::default(), seed).trace(n_sessions);
         let plain = run_cluster(ClusterConfig::new(cfg(), n_instances, router), gen());
         let noop = run_cluster(

@@ -10,7 +10,7 @@
 //! enabling it cannot perturb a single simulated outcome.
 
 use bench_suite::profile::{golden_scenarios, pressured};
-use cachedattention::engine::{run_cluster, ClusterConfig, Medium, Mode, RouterKind};
+use cachedattention::engine::{run_cluster, ClusterConfig, Mode, RouterKind};
 use cachedattention::sim::{profiler, ProfilerConfig};
 use cachedattention::workload::{Generator, ShareGptProfile, Trace};
 use std::sync::Mutex;
@@ -49,7 +49,7 @@ fn profiled_single_engine_reports_are_byte_identical() {
 #[test]
 fn profiled_cluster_reports_are_byte_identical() {
     let _guard = PROFILER_LOCK.lock().unwrap();
-    let engine = pressured(Mode::CachedAttention, Medium::DramDisk);
+    let engine = pressured(Mode::CachedAttention);
     let cfg = ClusterConfig::new(engine, 3, RouterKind::SessionAffinity);
     let trace = Generator::new(ShareGptProfile::default(), 11).trace(40);
 
@@ -76,7 +76,7 @@ fn profiled_cluster_reports_are_byte_identical() {
 #[test]
 fn disabled_profiler_stays_silent_across_a_run() {
     let _guard = PROFILER_LOCK.lock().unwrap();
-    let cfg = pressured(Mode::CachedAttention, Medium::DramDisk);
+    let cfg = pressured(Mode::CachedAttention);
     // No begin(): the scope! macros must not record anything.
     let _report = cachedattention::engine::run_trace(cfg, golden_trace());
     profiler::begin(ProfilerConfig::default());

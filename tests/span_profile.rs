@@ -12,8 +12,8 @@
 //! visible stall + pure compute (the `total == comp + max(stall, wait)`
 //! identity of the execution model).
 
-use bench_suite::profile::{golden_scenarios, pressured, MEDIUMS, MODES};
-use cachedattention::engine::{EngineConfig, Medium, Mode};
+use bench_suite::profile::{golden_scenarios, mediums, pressured, MODES};
+use cachedattention::engine::{EngineConfig, Mode};
 use cachedattention::telemetry::{run_with_telemetry, Span, SpanForest};
 use cachedattention::workload::{Generator, ShareGptProfile};
 use proptest::prelude::*;
@@ -117,14 +117,16 @@ proptest! {
         medium_ix in 0usize..3,
         dram_gb in 2u64..16,
     ) {
-        let mut cfg = pressured(MODES[mode_ix], MEDIUMS[medium_ix].0);
+        let (tiers, medium) = mediums()[medium_ix].clone();
+        let mut cfg = pressured(MODES[mode_ix]);
+        cfg.store.tiers = tiers;
         cfg.store.set_dram_bytes(dram_gb * 1_000_000_000);
         let trace = Generator::new(ShareGptProfile::default(), seed).trace(n_sessions);
         let (report, tel) = run_with_telemetry(cfg, trace);
         let forest = SpanForest::from_records(tel.records());
         let ctx = format!(
-            "seed {seed}, {} sessions, {:?}/{:?}",
-            n_sessions, MODES[mode_ix], MEDIUMS[medium_ix].0
+            "seed {seed}, {} sessions, {:?}/{medium}",
+            n_sessions, MODES[mode_ix]
         );
         assert_forest_well_formed(&forest, &ctx, true);
         prop_assert!(
@@ -182,11 +184,11 @@ fn overlap_efficiency_matches_the_paper_story() {
         let (_report, tel) = run_with_telemetry(cfg, trace);
         SpanForest::from_records(tel.records()).overlap_efficiency()
     };
-    let ca = run(pressured(Mode::CachedAttention, Medium::DramDisk));
+    let ca = run(pressured(Mode::CachedAttention));
     assert!(ca > 0.0, "CA DramDisk must hide some transfer, got {ca}");
-    let re = run(pressured(Mode::Recompute, Medium::DramDisk));
+    let re = run(pressured(Mode::Recompute));
     assert!(re.abs() < 1e-12, "RE has nothing to hide, got {re}");
-    let mut no_pl = pressured(Mode::CachedAttention, Medium::DramDisk);
+    let mut no_pl = pressured(Mode::CachedAttention);
     no_pl.preload = false;
     let ablated = run(no_pl);
     // Without preload the stall equals the load up to nanosecond

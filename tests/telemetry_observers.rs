@@ -10,7 +10,7 @@
 //! changes nothing.
 
 use bench_suite::profile::{golden_scenarios, pressured, MODES};
-use cachedattention::engine::{run_trace, run_with_observer, EventLog, Medium, Mode, NullObserver};
+use cachedattention::engine::{run_trace, run_with_observer, EventLog, Mode, NullObserver};
 use cachedattention::store::KeyingMode;
 use cachedattention::telemetry::{run_with_telemetry, MetricsHub};
 use cachedattention::workload::{Generator, ShareGptProfile, Trace};
@@ -65,7 +65,7 @@ fn hub_counters_reconcile_with_the_report() {
         .map(|&mode| (mode, KeyingMode::PerSession))
         .chain([(Mode::CachedAttention, KeyingMode::ContentAddressed)]);
     for (mode, keying) in runs {
-        let mut cfg = pressured(mode, Medium::DramDisk);
+        let mut cfg = pressured(mode);
         cfg.store.keying = keying;
         assert_eq!(cfg.warmup_turns, 0, "reconciliation needs zero warmup");
         let (report, hub) = run_with_observer(cfg, golden_trace(), MetricsHub::new());

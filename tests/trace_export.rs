@@ -92,7 +92,14 @@ fn records() -> Vec<TraceRecord> {
                 at: t(0.001),
             }),
         ),
-        (none, engine(EngineEvent::slo_config(2.0, 32, t(0.0)))),
+        (
+            none,
+            engine(EngineEvent::SloConfig {
+                ttft_target_secs: 2.0,
+                inbox_capacity: 32,
+                at: t(0.0),
+            }),
+        ),
         (
             none,
             store(StoreEvent::BlockConfig {
@@ -102,16 +109,31 @@ fn records() -> Vec<TraceRecord> {
         ),
         // Session 1 on instance 0: prefetched while queued, stalled on
         // the write buffer, then admitted through the whole pipeline.
-        (i0, engine(EngineEvent::turn_arrived(1, 0, t(0.0)))),
-        (i0, engine(EngineEvent::truncated(1, 4_096, 2_048, t(0.0)))),
         (
             i0,
-            engine(EngineEvent::consulted(
-                1,
-                ConsultClass::HitSlow,
-                2_048,
-                t(0.000_25),
-            )),
+            engine(EngineEvent::TurnArrived {
+                session: 1,
+                turn: 0,
+                at: t(0.0),
+            }),
+        ),
+        (
+            i0,
+            engine(EngineEvent::Truncated {
+                session: 1,
+                old_hist: 4_096,
+                new_hist: 2_048,
+                at: t(0.0),
+            }),
+        ),
+        (
+            i0,
+            engine(EngineEvent::Consulted {
+                session: 1,
+                class: ConsultClass::HitSlow,
+                reused: 2_048,
+                at: t(0.000_25),
+            }),
         ),
         (
             i0,
@@ -126,7 +148,14 @@ fn records() -> Vec<TraceRecord> {
                 at: t(0.000_5),
             }),
         ),
-        (i0, engine(EngineEvent::deferred(1, t(0.003), t(0.001)))),
+        (
+            i0,
+            engine(EngineEvent::Deferred {
+                session: 1,
+                until: t(0.003),
+                at: t(0.001),
+            }),
+        ),
         (
             i0,
             store(StoreEvent::PrefetchCompleted {
@@ -145,22 +174,33 @@ fn records() -> Vec<TraceRecord> {
         ),
         (
             i0,
-            engine(EngineEvent::admitted(1, 2_048, 300, false, t(0.004))),
+            engine(EngineEvent::Admitted {
+                session: 1,
+                reused: 2_048,
+                computed: 300,
+                chunked: false,
+                at: t(0.004),
+            }),
         ),
         (
             i0,
-            engine(EngineEvent::hbm_reserved(1, 1_000_000, 8_000_000, t(0.004))),
+            engine(EngineEvent::HbmReserved {
+                session: 1,
+                reserved_bytes: 1_000_000,
+                budget_bytes: 8_000_000,
+                at: t(0.004),
+            }),
         ),
         (
             i0,
-            engine(EngineEvent::prefill_timed(
-                1,
-                0.0625,
-                0.125,
-                0.031_25,
-                Some(1),
-                t(0.004),
-            )),
+            engine(EngineEvent::PrefillTimed {
+                session: 1,
+                load_secs: 0.0625,
+                comp_secs: 0.125,
+                stall_secs: 0.031_25,
+                tier: Some(1),
+                at: t(0.004),
+            }),
         ),
         (
             i0,
@@ -173,9 +213,20 @@ fn records() -> Vec<TraceRecord> {
         ),
         (
             i0,
-            engine(EngineEvent::prefill_done(1, 0.156_25, t(0.160_25))),
+            engine(EngineEvent::PrefillDone {
+                session: 1,
+                ttft_secs: 0.156_25,
+                at: t(0.160_25),
+            }),
         ),
-        (i0, engine(EngineEvent::retired(1, 2_500, t(0.5)))),
+        (
+            i0,
+            engine(EngineEvent::Retired {
+                session: 1,
+                new_hist: 2_500,
+                at: t(0.5),
+            }),
+        ),
         (
             i0,
             store(StoreEvent::Saved {
@@ -201,19 +252,49 @@ fn records() -> Vec<TraceRecord> {
         ),
         // Instance 1: session 2 arrives, runs with no visible stall and
         // degrades; session 4 is shed while queued; then fleet events.
-        (i1, engine(EngineEvent::turn_arrived(2, 0, t(0.01)))),
         (
             i1,
-            engine(EngineEvent::prefill_timed(2, 0.0, 0.25, 0.0, None, t(0.02))),
+            engine(EngineEvent::TurnArrived {
+                session: 2,
+                turn: 0,
+                at: t(0.01),
+            }),
         ),
         (
             i1,
-            engine(EngineEvent::degraded_recompute(2, "read_failed", t(0.02))),
+            engine(EngineEvent::PrefillTimed {
+                session: 2,
+                load_secs: 0.0,
+                comp_secs: 0.25,
+                stall_secs: 0.0,
+                tier: None,
+                at: t(0.02),
+            }),
         ),
-        (i1, engine(EngineEvent::turn_arrived(4, 1, t(0.03)))),
         (
             i1,
-            engine(EngineEvent::turn_shed(4, 1, "inbox_full", t(0.035))),
+            engine(EngineEvent::DegradedRecompute {
+                session: 2,
+                reason: "read_failed",
+                at: t(0.02),
+            }),
+        ),
+        (
+            i1,
+            engine(EngineEvent::TurnArrived {
+                session: 4,
+                turn: 1,
+                at: t(0.03),
+            }),
+        ),
+        (
+            i1,
+            engine(EngineEvent::TurnShed {
+                session: 4,
+                turn: 1,
+                reason: "inbox_full",
+                at: t(0.035),
+            }),
         ),
         (
             i1,
@@ -223,21 +304,58 @@ fn records() -> Vec<TraceRecord> {
                 at: t(0.036),
             }),
         ),
-        (i1, engine(EngineEvent::instance_crashed(1, t(0.04)))),
         (
             i1,
-            engine(EngineEvent::overload_level(
-                "normal",
-                "recompute_only",
-                t(0.05),
-            )),
+            engine(EngineEvent::InstanceCrashed {
+                instance: 1,
+                at: t(0.04),
+            }),
         ),
-        (i1, engine(EngineEvent::scale_up(2, 3, t(0.06)))),
-        (i1, engine(EngineEvent::scale_down(2, 2, t(0.07)))),
+        (
+            i1,
+            engine(EngineEvent::OverloadLevelChanged {
+                from: "normal",
+                to: "recompute_only",
+                at: t(0.05),
+            }),
+        ),
+        (
+            i1,
+            engine(EngineEvent::ScaleUp {
+                instance: 2,
+                n_alive: 3,
+                at: t(0.06),
+            }),
+        ),
+        (
+            i1,
+            engine(EngineEvent::ScaleDown {
+                instance: 2,
+                n_alive: 2,
+                at: t(0.07),
+            }),
+        ),
         // Session 2 migrates: re-routed and admitted on instance 0, so
         // its queued span stays on the process it started on.
-        (i0, engine(EngineEvent::turn_rerouted(2, 1, 0, t(0.04)))),
-        (i0, engine(EngineEvent::admitted(2, 0, 900, true, t(0.08)))),
+        (
+            i0,
+            engine(EngineEvent::TurnRerouted {
+                session: 2,
+                from: 1,
+                to: 0,
+                at: t(0.04),
+            }),
+        ),
+        (
+            i0,
+            engine(EngineEvent::Admitted {
+                session: 2,
+                reused: 0,
+                computed: 900,
+                chunked: true,
+                at: t(0.08),
+            }),
+        ),
     ])
 }
 

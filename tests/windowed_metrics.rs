@@ -3,7 +3,7 @@
 //!
 //! The [`WindowedHub`] folds the identical commit-ordered event stream
 //! the scalar `MetricsHub` consumes, just sliced into tumbling windows
-//! of virtual time. Three contracts pin it, for every mode, medium,
+//! of virtual time. Three contracts pin it, for every mode, tier 0,
 //! window width — and for arbitrary fault plans on a cluster:
 //!
 //! 1. **Counter conservation** — summing the counters over all windows
@@ -20,11 +20,10 @@
 //!    spans exactly `[i*width, (i+1)*width)`: contiguous,
 //!    non-overlapping, gap-free.
 
-use cachedattention::engine::{
-    AutoscalePolicy, ClusterConfig, EngineConfig, Medium, Mode, RouterKind, SloPolicy,
-};
+use bench_suite::profile::pressured;
+use cachedattention::engine::{AutoscalePolicy, ClusterConfig, Mode, RouterKind, SloPolicy};
 use cachedattention::metrics::LogSketch;
-use cachedattention::models::ModelSpec;
+use cachedattention::models::TierSpec;
 use cachedattention::sim::{Dur, FaultPlan, RetryPolicy, Time};
 use cachedattention::store::KeyingMode;
 use cachedattention::telemetry::{
@@ -37,16 +36,6 @@ use cachedattention::workload::{
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-/// The pressured config the golden scenarios use: small enough tiers to
-/// exercise eviction and the slow path.
-fn pressured(mode: Mode, medium: Medium) -> EngineConfig {
-    let mut cfg = EngineConfig::paper(mode, ModelSpec::llama2_13b());
-    cfg.medium = medium;
-    cfg.store.set_dram_bytes(8_000_000_000);
-    cfg.store.set_disk_bytes(40_000_000_000);
-    cfg
-}
-
 fn modes() -> impl Strategy<Value = Mode> {
     prop_oneof![
         Just(Mode::CachedAttention),
@@ -55,12 +44,9 @@ fn modes() -> impl Strategy<Value = Mode> {
     ]
 }
 
-fn mediums() -> impl Strategy<Value = Medium> {
-    prop_oneof![
-        Just(Medium::DramDisk),
-        Just(Medium::HbmDram),
-        Just(Medium::HbmOnly),
-    ]
+/// Tier 0 of the store: host DRAM or device HBM.
+fn tier0s() -> impl Strategy<Value = TierSpec> {
+    prop_oneof![Just(TierSpec::dram(0)), Just(TierSpec::hbm(0))]
 }
 
 fn routers() -> impl Strategy<Value = RouterKind> {
@@ -220,19 +206,20 @@ fn assert_percentiles_close(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Single-engine reconciliation across every mode x medium and an
+    /// Single-engine reconciliation across every mode x tier 0 and an
     /// arbitrary window width: the windowed plane conserves counters
     /// and reproduces the snapshot's percentiles.
     #[test]
     fn windows_reconcile_with_snapshot_across_modes(
         mode in modes(),
-        medium in mediums(),
+        tier0 in tier0s(),
         width_secs in 5.0f64..180.0,
         seed in 0u64..5_000,
     ) {
         let trace = gen_trace(seed, 14);
-        let (_report, tel) =
-            run_with_windowed_telemetry(pressured(mode, medium), trace, width_secs);
+        let mut cfg = pressured(mode);
+        cfg.store.tiers[0] = tier0.with_capacity(cfg.store.dram_bytes());
+        let (_report, tel) = run_with_windowed_telemetry(cfg, trace, width_secs);
         assert_reconciles(&tel)?;
     }
 
@@ -248,12 +235,8 @@ proptest! {
         seed in 0u64..5_000,
     ) {
         let trace = gen_trace(seed, 10);
-        let cfg = ClusterConfig::new(
-            pressured(Mode::CachedAttention, Medium::DramDisk),
-            n_instances,
-            router,
-        )
-        .with_faults(plan);
+        let cfg = ClusterConfig::new(pressured(Mode::CachedAttention), n_instances, router)
+            .with_faults(plan);
         let (_report, tel) = run_cluster_with_windowed_telemetry(cfg, trace, width_secs);
         assert_reconciles(&tel)?;
     }
@@ -263,7 +246,7 @@ proptest! {
 /// block and dedup counters are live, and still reconcile.
 #[test]
 fn windows_reconcile_under_block_keying() {
-    let mut cfg = pressured(Mode::CachedAttention, Medium::DramDisk);
+    let mut cfg = pressured(Mode::CachedAttention);
     cfg.store.keying = KeyingMode::ContentAddressed;
     let scenario = PrefixScenario::SharedSystemPrompt {
         pools: 2,
@@ -303,7 +286,7 @@ fn windows_reconcile_under_slo_control() {
     // A small inbox makes the crowd overflow it, so turns are shed.
     slo.inbox_capacity = 6;
     let cfg = ClusterConfig::new(
-        pressured(Mode::CachedAttention, Medium::DramDisk),
+        pressured(Mode::CachedAttention),
         2,
         RouterKind::SessionAffinity,
     )
