@@ -41,8 +41,10 @@
 # 15. throughput gate: exp_scale re-runs the pinned bench scenario and
 #    diffs BENCH_scale.json — virtual fields (event count, makespan,
 #    hit rate) must match exactly; host fields (events/sec, wall, RSS)
-#    get a wide band that only catches algorithmic collapses.
-#    REGEN_BENCH=1 regenerates this baseline too.
+#    get a wide band that only catches algorithmic collapses. The event
+#    count is of dispatched events, and a decode run is one event
+#    however many tokens it covers. REGEN_BENCH=1 regenerates this
+#    baseline too.
 # 16. line counts: scripts/loc.py prints the non-test Rust lines of
 #    crates/, src/ and examples/, then of compat/ (a report, not a gate)
 set -euo pipefail

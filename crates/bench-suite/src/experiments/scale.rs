@@ -12,7 +12,10 @@
 //! - **Virtual fields** (`turns`, `events`, `makespan_secs`, `hit_rate`)
 //!   are bit-deterministic — the compare step requires them to match the
 //!   baseline exactly (floats within epsilon). Any drift means serving
-//!   behavior changed, not the machine.
+//!   behavior changed, not the machine. `events` counts the events the
+//!   loop dispatched, and a decode run is one event however many tokens
+//!   it covers, so the count also moves when the engine slices the same
+//!   work into events differently.
 //! - **Host fields** (`events_per_sec`, `wall_secs`, `peak_rss_bytes`)
 //!   depend on the hardware running the gate, so they get a wide
 //!   tolerance band ([`DEFAULT_HOST_TOLERANCE`], ±50%) that catches

@@ -22,6 +22,14 @@
 //! operation lands in the same order as the pre-cluster engine — the
 //! golden `RunReport` fixtures reproduce byte-for-byte (pinned by
 //! `tests/cluster_equivalence.rs`).
+//!
+//! Decoding advances in *decode runs*: an instance's batch decodes to its
+//! next decision (the first job's finish, or the next boundary while a
+//! queued job could be admitted) in one event, and a job queued mid-run
+//! cuts the run at the boundary the per-token loop would have admitted it
+//! at. Each instance sums its own GPU busy time, which `finish` adds in
+//! instance order, so no report depends on how decoding is sliced into
+//! events (DESIGN §9).
 
 use std::collections::BTreeMap;
 
@@ -42,14 +50,24 @@ use crate::transfer::FaultedConsult;
 use crate::truncate;
 use crate::{EngineConfig, Mode, RunReport};
 
+#[cfg(test)]
+thread_local! {
+    /// The most iterations one decode run may cover in this thread's
+    /// simulations. A cap of 1 reproduces the per-token loop, the oracle
+    /// the tests hold decode runs to.
+    pub(crate) static RUN_CAP: std::cell::Cell<u64> = const { std::cell::Cell::new(u64::MAX) };
+}
+
 /// Simulation events (public because [`ClusterSim`] implements
 /// [`World<Event = Ev>`]; not constructed by users directly).
 #[derive(Debug, Clone, Copy)]
 pub enum Ev {
     /// A session's next turn arrived (the user hit enter).
     TurnArrival(usize),
-    /// An instance's GPU finished its current action (or should wake up).
-    GpuTick(u32),
+    /// An instance's GPU finished its current action (or should wake
+    /// up). The second field is the tick's generation: a tick older than
+    /// the instance's current one was superseded and is ignored.
+    GpuTick(u32, u64),
     /// Periodic TTL sweep of the shared store.
     Sweep,
     /// A scripted instance crash fired (fault plan).
@@ -414,6 +432,9 @@ impl<O: EngineObserver> ClusterSim<O> {
     /// Finalizes the report; hands back the observer too.
     pub(crate) fn finish(mut self) -> (ClusterReport, O) {
         self.report.makespan_secs = self.last_completion.as_secs_f64();
+        for inst in &self.instances {
+            self.report.add_gpu_busy(&inst.busy);
+        }
         self.report.h2d_bytes = self.instances.iter().map(|i| i.plan.h2d_bytes()).sum();
         self.report.d2h_bytes = self.instances.iter().map(|i| i.plan.d2h_bytes()).sum();
         self.report.slow_read_bytes = self
@@ -544,6 +565,9 @@ impl<O: EngineObserver> ClusterSim<O> {
     /// (unowned sessions — e.g. demotion victims no longer queued — fall
     /// back to the `acting` instance's links).
     fn run_prefetch(&mut self, now: Time, acting: u32) {
+        if self.store.is_none() {
+            return;
+        }
         // Under recompute-only degradation (or harsher) the ladder sheds
         // speculative slow-tier bandwidth: no prefetching at all.
         if self.slo.is_some() && self.slo_state.level() >= OverloadLevel::RecomputeOnly {
@@ -551,10 +575,7 @@ impl<O: EngineObserver> ClusterSim<O> {
         }
         sim::scope!("cluster.prefetch");
         let view = self.merged_view();
-        let Some(store) = &mut self.store else {
-            self.scratch_view = view;
-            return;
-        };
+        let store = self.store.as_mut().expect("checked above");
         // Prefetch read retries cost backoff wall time: the surviving
         // transfers start once it elapses.
         let outcome = store.try_prefetch(now, &view);
@@ -754,9 +775,36 @@ impl<O: EngineObserver> ClusterSim<O> {
             None => self.instances[inst as usize].sched.enqueue(job_idx),
         }
         self.run_prefetch(now, inst);
-        if self.instances[inst as usize].exec.gpu_action.is_none() {
-            self.instances[inst as usize].exec.gpu_action = Some(Action::Sleep);
-            q.push(now, Ev::GpuTick(inst));
+        self.wake_for_queued_job(now, inst, q);
+    }
+
+    /// Schedules instance `inst`'s next GPU tick at `at`, tagged with its
+    /// current generation.
+    fn push_tick(&self, q: &mut EventQueue<Ev>, inst: u32, at: Time) {
+        q.push(
+            at,
+            Ev::GpuTick(inst, self.instances[inst as usize].exec.tick_gen),
+        );
+    }
+
+    /// A job was just queued on `inst`. An idle instance wakes now. One in
+    /// a decode run whose batch has room ends the run at the boundary
+    /// where the per-token loop would next try the admission: the first
+    /// at or after `now`, never the run's start.
+    fn wake_for_queued_job(&mut self, now: Time, inst: u32, q: &mut EventQueue<Ev>) {
+        let exec = &mut self.instances[inst as usize].exec;
+        match exec.gpu_action {
+            None => {
+                exec.gpu_action = Some(Action::Sleep);
+                self.push_tick(q, inst, now);
+            }
+            Some(Action::Decode) if exec.batch.len() < self.cfg.max_batch => {
+                if let Some(end) = exec.cut_run(now) {
+                    exec.tick_gen += 1;
+                    self.push_tick(q, inst, end);
+                }
+            }
+            _ => {}
         }
     }
 
@@ -978,6 +1026,9 @@ impl<O: EngineObserver> ClusterSim<O> {
             staged,
         );
         self.instances[i].hbm.note_reserved(reserved + job_peak);
+        self.instances[i]
+            .busy
+            .record_prefill(now.as_secs_f64(), timing.total.as_secs_f64());
         let sid = self.sid(self.jobs[job_idx].session);
         let job = &mut self.jobs[job_idx];
         job.reused_tokens = reused;
@@ -985,9 +1036,7 @@ impl<O: EngineObserver> ClusterSim<O> {
         job.admitted_at = now;
         job.prefill_secs = timing.comp.as_secs_f64();
         self.report.record_admission(
-            now.as_secs_f64(),
             timing.comp.as_secs_f64(),
-            timing.total.as_secs_f64(),
             timing.stall.as_secs_f64(),
             job.measured,
             job.hist_tokens + job.user_tokens,
@@ -1004,7 +1053,7 @@ impl<O: EngineObserver> ClusterSim<O> {
             }
             PrefillIssue::Monolithic => {
                 self.instances[i].exec.gpu_action = Some(Action::Prefill { job: job_idx });
-                q.push(now + timing.total, Ev::GpuTick(inst));
+                self.push_tick(q, inst, now + timing.total);
                 false
             }
         };
@@ -1081,7 +1130,18 @@ impl<O: EngineObserver> ClusterSim<O> {
             chunks_left,
             chunk_dur,
         });
-        q.push(now + chunk_dur, Ev::GpuTick(inst));
+        self.push_tick(q, inst, now + chunk_dur);
+    }
+
+    /// Starts a decode run of `iters` iterations of `inst`'s batch at
+    /// `now`; `spans` says whether its iterations are timeline spans.
+    fn start_run(&mut self, now: Time, inst: u32, iters: u64, spans: bool, q: &mut EventQueue<Ev>) {
+        #[cfg(test)]
+        let iters = iters.min(RUN_CAP.with(std::cell::Cell::get));
+        let exec = &mut self.instances[inst as usize].exec;
+        let end = exec.plan_run(&self.cfg, &self.jobs, now, iters, spans);
+        exec.gpu_action = Some(Action::Decode);
+        self.push_tick(q, inst, end);
     }
 
     /// Completes a prefill on `inst`: records TTFT (admission → first
@@ -1246,7 +1306,15 @@ impl<O: EngineObserver> ClusterSim<O> {
         // prefill recorded its admission — so their re-run is recovery
         // work, not a second measured turn.
         let admitted_from = orphans.len();
-        orphans.append(&mut self.instances[i].exec.batch);
+        // A decode run the drain cuts short: the iterations the GPU had
+        // begun happened, the rest never run. Whatever tick the instance
+        // had pending is stale.
+        let me = &mut self.instances[i];
+        if let Some(Action::Decode) = me.exec.gpu_action {
+            me.record_decode_run(now);
+        }
+        me.exec.tick_gen += 1;
+        orphans.append(&mut me.exec.batch);
         if let Some((job, _, _)) = self.instances[i].exec.pending_chunk.take() {
             if !orphans.contains(&job) {
                 orphans.push(job);
@@ -1308,10 +1376,7 @@ impl<O: EngineObserver> ClusterSim<O> {
                     at: now,
                 },
             );
-            if self.instances[to as usize].exec.gpu_action.is_none() {
-                self.instances[to as usize].exec.gpu_action = Some(Action::Sleep);
-                q.push(now, Ev::GpuTick(to));
-            }
+            self.wake_for_queued_job(now, to, q);
         }
     }
 
@@ -1427,11 +1492,11 @@ impl<O: EngineObserver> ClusterSim<O> {
         };
         let fraction = p.fraction;
         self.faults.pressure_events += 1;
-        let view = self.merged_view();
-        let Some(store) = &mut self.store else {
-            self.scratch_view = view;
+        if self.store.is_none() {
             return;
-        };
+        }
+        let view = self.merged_view();
+        let store = self.store.as_mut().expect("checked above");
         let transfers = store.apply_pressure(now, fraction, &view);
         for t in &transfers {
             let owner = view.owner(t.session).unwrap_or(0) as usize;
@@ -1464,21 +1529,27 @@ impl<O: EngineObserver> ClusterSim<O> {
                         // Nothing else to run: stall until ready.
                         self.instances[i].exec.gpu_action = Some(Action::Sleep);
                         self.report.stall_secs += (ready_at - now).as_secs_f64();
-                        q.push(ready_at, Ev::GpuTick(inst));
+                        self.push_tick(q, inst, ready_at);
                         return;
                     }
                     // Fall through to decode while the buffer drains.
                 }
             }
         }
-        if !self.instances[i].exec.batch.is_empty() {
-            let dur = self.instances[i]
-                .exec
-                .decode_iter_dur(&self.cfg, &self.jobs);
-            self.report
-                .record_decode_iter(dur.as_secs_f64(), Some(now.as_secs_f64()));
-            self.instances[i].exec.gpu_action = Some(Action::Decode);
-            q.push(now + dur, Ev::GpuTick(inst));
+        let me = &self.instances[i];
+        if !me.exec.batch.is_empty() {
+            // Decode up to the next boundary where anything could change:
+            // the next one while a queued job can retry its admission
+            // (so a deferred head job re-emits its deferral each time),
+            // else the first job's finish. A job queued mid-run cuts the
+            // run short (`wake_for_queued_job`).
+            let retry = !me.sched.is_empty() && me.exec.batch.len() < self.cfg.max_batch;
+            let iters = if retry {
+                1
+            } else {
+                me.exec.iters_to_first_finish(&self.jobs)
+            };
+            self.start_run(now, inst, iters, true, q);
             return;
         }
         // Idle: a future TurnArrival will wake this instance.
@@ -1505,11 +1576,12 @@ impl<O: EngineObserver> World for ClusterSim<O> {
             Ev::Crash(inst) => self.on_crash(now, inst, q),
             Ev::Pressure(idx) => self.on_pressure(now, idx),
             Ev::SloTick => self.on_slo_tick(now, q),
-            Ev::GpuTick(inst) => {
+            Ev::GpuTick(inst, tick_gen) => {
                 let i = inst as usize;
-                // Ticks scheduled before a crash landed: the instance is
-                // gone and its work was already re-routed.
-                if !self.instances[i].alive {
+                // Ticks scheduled before a crash landed (the instance is
+                // gone and its work was already re-routed) or superseded
+                // by a cut or a drain.
+                if !self.instances[i].alive || tick_gen != self.instances[i].exec.tick_gen {
                     return;
                 }
                 match self.instances[i].exec.gpu_action.take() {
@@ -1531,17 +1603,15 @@ impl<O: EngineObserver> World for ClusterSim<O> {
                             // timeline span is covered by the admission.
                             self.instances[i].exec.pending_chunk =
                                 Some((job, chunks_left, chunk_dur));
-                            let dur = self.instances[i]
-                                .exec
-                                .decode_iter_dur(&self.cfg, &self.jobs);
-                            self.report.record_decode_iter(dur.as_secs_f64(), None);
-                            self.instances[i].exec.gpu_action = Some(Action::Decode);
-                            q.push(now + dur, Ev::GpuTick(inst));
+                            self.start_run(now, inst, 1, false, q);
                             return;
                         }
                     }
                     Some(Action::Decode) => {
-                        let finished = self.instances[i].exec.advance_decode(&mut self.jobs);
+                        let me = &mut self.instances[i];
+                        me.record_decode_run(Time::MAX);
+                        let tokens = me.exec.run_len();
+                        let finished = me.exec.advance_decode(&mut self.jobs, tokens);
                         for j in finished {
                             self.retire_job(now, inst, j, q);
                         }
@@ -1553,3 +1623,6 @@ impl<O: EngineObserver> World for ClusterSim<O> {
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -4,7 +4,8 @@
 //! decode batch, and the timing arithmetic: [`prefill_timing`] folds the
 //! layer-wise pre-loading schedule (§3.2.1) into a prefill's duration,
 //! [`plan_prefill`] decides monolithic vs Sarathi-style chunked issue,
-//! and [`Executor::advance_decode`] steps the continuous batch one token.
+//! `Executor::plan_run` times a decode run of the continuous batch, and
+//! [`Executor::advance_decode`] steps the batch through it.
 //!
 //! The stage is deliberately ignorant of the report and the store: it
 //! returns durations and classifications, and the orchestrator does the
@@ -33,7 +34,8 @@ pub enum Action {
         /// Duration of each chunk.
         chunk_dur: Dur,
     },
-    /// One decode iteration of the whole batch.
+    /// A decode run of the whole batch: the iterations
+    /// `Executor::plan_run` timed, ending at the tick.
     Decode,
     /// Stalled waiting for data or buffer drain.
     Sleep,
@@ -231,7 +233,7 @@ pub fn prefill_timing(
 }
 
 /// The GPU's mutable execution state: current action, paused chunked
-/// prefill, and the continuous decode batch.
+/// prefill, the continuous decode batch and its decode run.
 #[derive(Debug, Default)]
 pub struct Executor {
     /// What the GPU runs until the pending tick (`None` = idle).
@@ -241,6 +243,24 @@ pub struct Executor {
     pub pending_chunk: Option<(usize, u32, Dur)>,
     /// Jobs decoding together under continuous batching.
     pub batch: Vec<usize>,
+    /// The generation of the pending tick. A tick carrying an older one
+    /// was superseded: a cut moved the run's end, or a drain emptied the
+    /// instance.
+    pub(crate) tick_gen: u64,
+    /// The decode run [`Action::Decode`] stands for.
+    run: DecodeRun,
+}
+
+/// A decode run: consecutive iterations of one batch, timed when planned.
+#[derive(Debug, Default)]
+struct DecodeRun {
+    /// When the first iteration started.
+    start: Time,
+    /// Each iteration's end, in order; the run's tick is at the last.
+    ends: Vec<Time>,
+    /// Whether the iterations are GPU timeline spans (a decode iteration
+    /// piggybacked inside a chunked prefill is covered by the admission).
+    spans: bool,
 }
 
 impl Executor {
@@ -249,26 +269,86 @@ impl Executor {
         Executor::default()
     }
 
-    /// Duration of one decode iteration of the current batch.
-    pub fn decode_iter_dur(&self, cfg: &EngineConfig, jobs: &[Job]) -> Dur {
-        let total_ctx: u64 = self.batch.iter().map(|&j| jobs[j].ctx_tokens).sum();
-        cfg.cost
-            .decode_iter_time(&cfg.model, &cfg.cluster, self.batch.len() as u64, total_ctx)
+    /// Iterations until the first batched job finishes.
+    pub(crate) fn iters_to_first_finish(&self, jobs: &[Job]) -> u64 {
+        self.batch
+            .iter()
+            .map(|&j| jobs[j].remaining_decode)
+            .min()
+            .unwrap_or(0)
     }
 
-    /// Advances every batched job by one decoded token; removes and
+    /// Plans a decode run of `iters` iterations of the current batch from
+    /// `now` and returns when it ends. Iteration `i` of a batch of `n`
+    /// whose context is `C0` at `now` lasts
+    /// `decode_iter_time(n, C0 + i·n)`, exactly what stepping the batch
+    /// one token at a time would charge.
+    pub(crate) fn plan_run(
+        &mut self,
+        cfg: &EngineConfig,
+        jobs: &[Job],
+        now: Time,
+        iters: u64,
+        spans: bool,
+    ) -> Time {
+        let n = self.batch.len() as u64;
+        let cost = cfg.cost.decode_cost(&cfg.model, &cfg.cluster, n);
+        let mut ctx: u64 = self.batch.iter().map(|&j| jobs[j].ctx_tokens).sum();
+        let run = &mut self.run;
+        run.start = now;
+        run.spans = spans;
+        run.ends.clear();
+        let mut at = now;
+        for _ in 0..iters {
+            at += cost.iter_time(ctx);
+            run.ends.push(at);
+            ctx += n;
+        }
+        at
+    }
+
+    /// Ends the run at its first iteration boundary at or after `now`
+    /// (never at the run's start). Returns the new end when that
+    /// shortened the run.
+    pub(crate) fn cut_run(&mut self, now: Time) -> Option<Time> {
+        let ends = &mut self.run.ends;
+        let kept = 1 + ends.partition_point(|&e| e < now);
+        if kept >= ends.len() {
+            return None;
+        }
+        ends.truncate(kept);
+        Some(ends[kept - 1])
+    }
+
+    /// The run's iterations in order, as (start, duration, whether it is
+    /// a timeline span).
+    pub(crate) fn run_iters(&self) -> impl Iterator<Item = (Time, Dur, bool)> + '_ {
+        let starts = std::iter::once(self.run.start).chain(self.run.ends.iter().copied());
+        starts
+            .zip(&self.run.ends)
+            .map(|(start, &end)| (start, end - start, self.run.spans))
+    }
+
+    /// Number of iterations in the run.
+    pub(crate) fn run_len(&self) -> u64 {
+        self.run.ends.len() as u64
+    }
+
+    /// Advances every batched job by `tokens` decoded tokens; removes and
     /// returns the jobs that just finished, in batch order.
-    pub fn advance_decode(&mut self, jobs: &mut [Job]) -> Vec<usize> {
+    pub fn advance_decode(&mut self, jobs: &mut [Job], tokens: u64) -> Vec<usize> {
         let mut finished = Vec::new();
         for &j in &self.batch {
             let job = &mut jobs[j];
-            job.ctx_tokens += 1;
-            job.remaining_decode -= 1;
+            job.ctx_tokens += tokens;
+            job.remaining_decode -= tokens;
             if job.remaining_decode == 0 {
                 finished.push(j);
             }
         }
-        self.batch.retain(|j| !finished.contains(j));
+        if !finished.is_empty() {
+            self.batch.retain(|j| !finished.contains(j));
+        }
         finished
     }
 }
@@ -328,13 +408,62 @@ mod tests {
         let mut jobs = vec![job(1), job(2), job(1)];
         let mut ex = Executor::new();
         ex.batch = vec![0, 1, 2];
-        let finished = ex.advance_decode(&mut jobs);
+        let finished = ex.advance_decode(&mut jobs, 1);
         assert_eq!(finished, vec![0, 2]);
         assert_eq!(ex.batch, vec![1]);
         assert_eq!(jobs[0].ctx_tokens, 11);
         assert_eq!(jobs[1].remaining_decode, 1);
-        let finished = ex.advance_decode(&mut jobs);
+        let finished = ex.advance_decode(&mut jobs, 1);
         assert_eq!(finished, vec![1]);
         assert!(ex.batch.is_empty());
+    }
+
+    #[test]
+    fn a_run_times_each_iteration_at_its_own_context() {
+        let cfg = EngineConfig::paper(crate::Mode::Recompute, models::ModelSpec::llama2_13b());
+        let jobs = vec![job(5), job(3)];
+        let mut ex = Executor::new();
+        ex.batch = vec![0, 1];
+        let start = Time::from_secs_f64(2.0);
+        assert_eq!(ex.iters_to_first_finish(&jobs), 3);
+        let end = ex.plan_run(&cfg, &jobs, start, 3, true);
+        let mut at = start;
+        for (i, (s, dur, span)) in ex.run_iters().enumerate() {
+            let ctx = 20 + 2 * i as u64;
+            assert_eq!((s, span), (at, true));
+            assert_eq!(
+                dur,
+                cfg.cost.decode_iter_time(&cfg.model, &cfg.cluster, 2, ctx)
+            );
+            at += dur;
+        }
+        assert_eq!((at, ex.run_len()), (end, 3));
+    }
+
+    #[test]
+    fn cuts_land_on_the_first_boundary_never_the_start() {
+        let cfg = EngineConfig::paper(crate::Mode::Recompute, models::ModelSpec::llama2_13b());
+        let jobs = vec![job(10)];
+        let mut ex = Executor::new();
+        ex.batch = vec![0];
+        let start = Time::from_secs_f64(1.0);
+        let plan = |ex: &mut Executor| {
+            ex.plan_run(&cfg, &jobs, start, 6, true);
+            ex.run_iters().map(|(s, d, _)| s + d).collect::<Vec<_>>()
+        };
+        let ends = plan(&mut ex);
+        // At the start instant the run keeps its first iteration.
+        assert_eq!(ex.cut_run(start), Some(ends[0]));
+        // Strictly inside iteration 2: it finishes.
+        plan(&mut ex);
+        assert_eq!(ex.cut_run(ends[1] + Dur::from_nanos(1)), Some(ends[2]));
+        // Exactly on the end of iteration 2: the run ends there.
+        plan(&mut ex);
+        assert_eq!(ex.cut_run(ends[2]), Some(ends[2]));
+        assert_eq!(ex.run_len(), 3);
+        // Inside the last iteration there is nothing to cut.
+        plan(&mut ex);
+        assert_eq!(ex.cut_run(ends[4] + Dur::from_nanos(1)), None);
+        assert_eq!(ex.run_len(), 6);
     }
 }

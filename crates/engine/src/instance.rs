@@ -13,6 +13,7 @@ use sim::Time;
 
 use crate::exec::Executor;
 use crate::hbm::HbmLedger;
+use crate::report::GpuBusy;
 use crate::scheduler::{Fcfs, SchedulerPolicy};
 use crate::transfer::TransferPlan;
 use crate::EngineConfig;
@@ -29,6 +30,8 @@ pub struct EngineInstance {
     pub plan: TransferPlan,
     /// The instance's live-KV HBM ledger.
     pub hbm: HbmLedger,
+    /// GPU busy time recorded on this instance.
+    pub(crate) busy: GpuBusy,
     /// Turns retired on this instance.
     pub turns_done: u64,
     /// Measured resumption turns consulted for jobs routed here.
@@ -66,6 +69,7 @@ impl EngineInstance {
             exec: Executor::new(),
             plan: TransferPlan::new(cfg),
             hbm: HbmLedger::new(&cfg.cluster, &cfg.model),
+            busy: GpuBusy::default(),
             turns_done: 0,
             resumption_turns: 0,
             hits_fast: 0,
@@ -74,6 +78,20 @@ impl EngineInstance {
             last_completion: Time::ZERO,
             alive: true,
             departed: false,
+        }
+    }
+
+    /// Records the decode run's iterations that started before `until`,
+    /// in order: all of them at the run's own tick (`Time::MAX`), only
+    /// those the GPU had begun when a drain cuts the run short.
+    pub(crate) fn record_decode_run(&mut self, until: Time) {
+        for (start, dur, span) in self.exec.run_iters() {
+            if start >= until {
+                break;
+            }
+            let secs = dur.as_secs_f64();
+            self.busy
+                .record_decode_iter(secs, span.then(|| start.as_secs_f64()));
         }
     }
 

@@ -99,22 +99,18 @@ impl RunReport {
         }
     }
 
-    /// Records an admission: `comp` seconds of prefill compute inside a
-    /// `total`-second GPU span starting at `now`, stalled for `stall`
-    /// seconds; measured turns also contribute token counts.
-    #[allow(clippy::too_many_arguments)]
+    /// Records an admission: `comp` seconds of prefill compute, stalled
+    /// for `stall` seconds; measured turns also contribute token counts.
+    /// The admission's GPU timeline span is the instance's to record.
     pub fn record_admission(
         &mut self,
-        now: f64,
         comp: f64,
-        total: f64,
         stall: f64,
         measured: bool,
         prompt_tokens: u64,
         computed_tokens: u64,
     ) {
         self.prefill_busy_secs += comp;
-        self.gpu_busy_timeline.add_span(now, total, total);
         self.stall_secs += stall;
         if measured {
             self.turns_measured.incr();
@@ -132,15 +128,11 @@ impl RunReport {
         }
     }
 
-    /// Records one decode iteration of `dur` seconds. `span_at` is the
-    /// start time for the utilization timeline — `None` for iterations
-    /// piggybacked inside a chunked prefill, whose span the admission
-    /// already covers.
-    pub fn record_decode_iter(&mut self, dur: f64, span_at: Option<f64>) {
-        self.decode_busy_secs += dur;
-        if let Some(at) = span_at {
-            self.gpu_busy_timeline.add_span(at, dur, dur);
-        }
+    /// Adds one instance's GPU busy time: its decode seconds and its
+    /// timeline, bucket by bucket.
+    pub(crate) fn add_gpu_busy(&mut self, busy: &GpuBusy) {
+        self.decode_busy_secs += busy.decode_secs;
+        self.gpu_busy_timeline.merge(&busy.timeline);
     }
 
     /// Overall KV cache hit rate over resumption turns (Fig 13).
@@ -203,6 +195,38 @@ impl RunReport {
             ssd_gb,
             self.gpu_hours(),
         )
+    }
+}
+
+/// One instance's GPU busy time: decode seconds and the utilization
+/// timeline (prefill and decode spans).
+///
+/// Each instance sums its own, and the run report adds them in instance
+/// order at the end, so the totals do not depend on how the event loop
+/// slices an instance's decoding into events.
+#[derive(Debug, Default)]
+pub(crate) struct GpuBusy {
+    /// GPU seconds spent in decode iterations.
+    pub(crate) decode_secs: f64,
+    /// GPU busy-seconds per minute of virtual time.
+    pub(crate) timeline: TimeSeries,
+}
+
+impl GpuBusy {
+    /// Records an admitted prefill's `total`-second GPU span from `now`.
+    pub(crate) fn record_prefill(&mut self, now: f64, total: f64) {
+        self.timeline.add_span(now, total, total);
+    }
+
+    /// Records one decode iteration of `dur` seconds. `span_at` is the
+    /// start time for the utilization timeline — `None` for iterations
+    /// piggybacked inside a chunked prefill, whose span the admission
+    /// already covers.
+    pub(crate) fn record_decode_iter(&mut self, dur: f64, span_at: Option<f64>) {
+        self.decode_secs += dur;
+        if let Some(at) = span_at {
+            self.timeline.add_span(at, dur, dur);
+        }
     }
 }
 

@@ -77,6 +77,24 @@ impl TimeSeries {
         }
     }
 
+    /// Adds `other`'s buckets into this series, bucket by bucket.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two series have different bucket widths.
+    pub fn merge(&mut self, other: &TimeSeries) {
+        assert_eq!(
+            self.bucket_secs, other.bucket_secs,
+            "merged series must share a bucket width"
+        );
+        if other.buckets.len() > self.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0.0);
+        }
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+    }
+
     /// Returns the bucket values.
     pub fn buckets(&self) -> &[f64] {
         &self.buckets
@@ -153,6 +171,20 @@ mod tests {
         assert!((b[2] - 2.0).abs() < 1e-9);
         assert!((b[3] - 1.0).abs() < 1e-9);
         assert!((ts.total() - 6.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn merge_adds_bucketwise_and_extends() {
+        let mut a = TimeSeries::new(10.0);
+        a.add(5.0, 1.0);
+        let mut b = TimeSeries::new(10.0);
+        b.add(5.0, 2.0);
+        b.add(25.0, 4.0);
+        a.merge(&b);
+        assert_eq!(a.buckets(), &[3.0, 0.0, 4.0]);
+        let mut empty = TimeSeries::new(10.0);
+        empty.merge(&b);
+        assert_eq!(empty.buckets(), b.buckets());
     }
 
     #[test]

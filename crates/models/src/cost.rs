@@ -113,14 +113,23 @@ impl CostModel {
         batch: u64,
         total_ctx_tokens: u64,
     ) -> Dur {
-        if batch == 0 {
-            return Dur::ZERO;
-        }
+        self.decode_cost(m, c, batch).iter_time(total_ctx_tokens)
+    }
+
+    /// The decode-iteration cost of a `batch`-sized batch with its weight,
+    /// FLOP and bandwidth terms evaluated once, so a run of iterations at
+    /// one batch size pays only each iteration's KV read
+    /// ([`DecodeCost::iter_time`]).
+    pub fn decode_cost(&self, m: &ModelSpec, c: &ClusterSpec, batch: u64) -> DecodeCost {
         let bw = c.total_hbm_bw() * self.decode_mbu;
-        let weights = m.weight_bytes() as f64 / bw;
-        let kv = (total_ctx_tokens * m.kv_bytes_per_token()) as f64 / bw;
-        let flops = 2.0 * m.n_params as f64 * batch as f64 / (c.total_flops() * self.prefill_mfu);
-        Dur::from_secs_f64(weights + kv + flops) + self.iter_overhead
+        DecodeCost {
+            batch,
+            bw,
+            kv_bytes_per_token: m.kv_bytes_per_token(),
+            weights: m.weight_bytes() as f64 / bw,
+            flops: 2.0 * m.n_params as f64 * batch as f64 / (c.total_flops() * self.prefill_mfu),
+            overhead: self.iter_overhead,
+        }
     }
 
     /// Average KV cache generation rate during a prefill, bytes/s.
@@ -137,6 +146,29 @@ impl CostModel {
     /// Time to move `bytes` of KV over PCIe in one direction.
     pub fn pcie_time(&self, c: &ClusterSpec, bytes: u64) -> Dur {
         Dur::from_secs_f64(bytes as f64 / c.pcie_bw)
+    }
+}
+
+/// One batch size's decode-iteration cost, from [`CostModel::decode_cost`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DecodeCost {
+    batch: u64,
+    bw: f64,
+    kv_bytes_per_token: u64,
+    weights: f64,
+    flops: f64,
+    overhead: Dur,
+}
+
+impl DecodeCost {
+    /// Wall-clock time of one iteration whose sequences hold
+    /// `total_ctx_tokens` live tokens in aggregate.
+    pub fn iter_time(&self, total_ctx_tokens: u64) -> Dur {
+        if self.batch == 0 {
+            return Dur::ZERO;
+        }
+        let kv = (total_ctx_tokens * self.kv_bytes_per_token) as f64 / self.bw;
+        Dur::from_secs_f64(self.weights + kv + self.flops) + self.overhead
     }
 }
 
@@ -231,6 +263,29 @@ mod tests {
             let layered =
                 (cm.prefill_layer_time(&m, &c, new, past).as_nanos() * m.n_layers as u64) as i128;
             prop_assert!((total - layered).abs() <= m.n_layers as i128);
+        }
+
+        /// The evaluator reproduces the one-call formula it replaced bit
+        /// for bit: same terms, same order (`weights + kv + flops`).
+        #[test]
+        fn decode_cost_matches_the_inline_formula(
+            batch in 1u64..64,
+            ctx in 0u64..400_000,
+            model in 0usize..4,
+        ) {
+            let m = crate::evaluation_models()[model].clone();
+            for (c, cm) in [
+                (ClusterSpec::paper_testbed(), CostModel::default()),
+                (ClusterSpec::paper_testbed(), CostModel::paper_system()),
+            ] {
+                let bw = c.total_hbm_bw() * cm.decode_mbu;
+                let weights = m.weight_bytes() as f64 / bw;
+                let kv = (ctx * m.kv_bytes_per_token()) as f64 / bw;
+                let flops =
+                    2.0 * m.n_params as f64 * batch as f64 / (c.total_flops() * cm.prefill_mfu);
+                let inline = Dur::from_secs_f64(weights + kv + flops) + cm.iter_overhead;
+                prop_assert_eq!(cm.decode_cost(&m, &c, batch).iter_time(ctx), inline);
+            }
         }
 
         /// Decode cost grows with aggregate context but stays bounded by

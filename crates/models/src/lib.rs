@@ -17,7 +17,7 @@ mod cost;
 mod hw;
 mod spec;
 
-pub use cost::CostModel;
+pub use cost::{CostModel, DecodeCost};
 pub use hw::{ClusterSpec, GpuSpec, TierSpec, TierStack};
 pub use spec::{Dtype, ModelSpec};
 

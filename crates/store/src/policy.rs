@@ -15,30 +15,25 @@ use crate::SessionId;
 /// the engine's `ClusterSim`); [`QueueView::with_owners`] additionally
 /// records which serving instance each queued session belongs to, so the
 /// store can attribute tier transfers per instance.
+#[derive(Default)]
 pub struct QueueView {
     order: Vec<SessionId>,
-    pos: HashMap<SessionId, usize>,
-    owner: HashMap<SessionId, u32>,
-}
-
-impl Default for QueueView {
-    fn default() -> Self {
-        QueueView::empty()
-    }
+    /// Each queued session's earliest position, and the instance whose
+    /// queue holds it there when the view was built with owners.
+    slots: HashMap<SessionId, (usize, Option<u32>)>,
 }
 
 impl QueueView {
     /// Builds a view from the queue's session order (head first). When a
     /// session appears more than once, its earliest position wins.
     pub fn new(order: &[SessionId]) -> Self {
-        let mut pos = HashMap::with_capacity(order.len());
+        let mut slots = HashMap::with_capacity(order.len());
         for (i, &sid) in order.iter().enumerate() {
-            pos.entry(sid).or_insert(i);
+            slots.entry(sid).or_insert((i, None));
         }
         QueueView {
             order: order.to_vec(),
-            pos,
-            owner: HashMap::new(),
+            slots,
         }
     }
 
@@ -51,25 +46,21 @@ impl QueueView {
     ///
     /// Panics when `order` and `owners` differ in length.
     pub fn with_owners(order: &[SessionId], owners: &[u32]) -> Self {
-        assert_eq!(order.len(), owners.len(), "one owner per queued session");
-        let mut view = QueueView::new(order);
-        view.owner.reserve(order.len());
-        for (&sid, &inst) in order.iter().zip(owners) {
-            view.owner.entry(sid).or_insert(inst);
-        }
+        let mut view = QueueView::empty();
+        view.rebuild(order, owners);
         view
     }
 
     /// An empty queue (what LRU/FIFO effectively see).
     pub fn empty() -> Self {
-        QueueView::new(&[])
+        QueueView::default()
     }
 
     /// Rebuilds this view in place from a fresh `order`/`owners` pair,
-    /// reusing the retained allocations. Semantically identical to
-    /// [`QueueView::with_owners`]; this is the cluster's per-store-
+    /// reusing the retained allocations: [`QueueView::with_owners`]
+    /// without the allocation. This is the cluster's per-store-
     /// consultation hot path (`ClusterSim::merged_view` rebuilds a
-    /// scratch view instead of allocating three collections per call).
+    /// scratch view).
     ///
     /// # Panics
     ///
@@ -78,23 +69,21 @@ impl QueueView {
         assert_eq!(order.len(), owners.len(), "one owner per queued session");
         self.order.clear();
         self.order.extend_from_slice(order);
-        self.pos.clear();
-        self.owner.clear();
+        self.slots.clear();
         for (i, (&sid, &inst)) in order.iter().zip(owners).enumerate() {
-            self.pos.entry(sid).or_insert(i);
-            self.owner.entry(sid).or_insert(inst);
+            self.slots.entry(sid).or_insert((i, Some(inst)));
         }
     }
 
     /// Returns the queue position of `sid` (0 = head), if present.
     pub fn position(&self, sid: SessionId) -> Option<usize> {
-        self.pos.get(&sid).copied()
+        self.slots.get(&sid).map(|&(pos, _)| pos)
     }
 
     /// Returns the serving instance whose queue holds `sid`, when the
     /// view was built with owner attribution and `sid` is queued.
     pub fn owner(&self, sid: SessionId) -> Option<u32> {
-        self.owner.get(&sid).copied()
+        self.slots.get(&sid).and_then(|&(_, owner)| owner)
     }
 
     /// Returns the number of queued jobs.

@@ -73,6 +73,21 @@ fn profiled_cluster_reports_are_byte_identical() {
     }
 }
 
+/// Under recomputation there is no store to consult, so the cluster
+/// never builds the merged queue view the store would read.
+#[test]
+fn recompute_clusters_build_no_merged_view() {
+    let _guard = PROFILER_LOCK.lock().unwrap();
+    let cfg = ClusterConfig::new(pressured(Mode::Recompute), 3, RouterKind::SessionAffinity);
+    let trace = Generator::new(ShareGptProfile::default(), 11).trace(40);
+    profiler::begin(ProfilerConfig::default());
+    run_cluster(cfg, trace);
+    let profile = profiler::finish();
+    let names: Vec<&str> = profile.scopes.iter().map(|s| s.name.as_str()).collect();
+    assert!(names.contains(&"cluster.dispatch"), "{names:?}");
+    assert!(!names.contains(&"cluster.merged_view"), "{names:?}");
+}
+
 #[test]
 fn disabled_profiler_stays_silent_across_a_run() {
     let _guard = PROFILER_LOCK.lock().unwrap();
